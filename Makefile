@@ -217,7 +217,8 @@ scale-smoke:
 
 # Zero-allocation gate: every guarded hot-path probe (disabled trace
 # emission, event-heap push/take, idle engine polling, delayed-ACK
-# bookkeeping) must measure 0.000 minor words per op.  Writes
+# bookkeeping, a RESP parser polled while it awaits the rest of a
+# value) must measure 0.000 minor words per op.  Writes
 # BENCH_alloc.json; exits nonzero on any regression.
 alloc-gate:
 	dune exec bench/main.exe -- alloc

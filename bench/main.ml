@@ -1041,6 +1041,13 @@ let alloc () =
   let histo = Sim.Histo.create () in
   let ledger_off = E2e.Ledger.create ~trace:trace_off ~group:"bench" in
   let steer = Shard.Steer.create ~shards:4 in
+  (* A parser holding the first segment of a 16 KiB SET, awaiting the
+     rest of the value. *)
+  let resp = Kv.Resp.Parser.create () in
+  let set =
+    Kv.Command.Set { key = "k"; value = String.make 16384 'v'; ttl = None }
+  in
+  Kv.Resp.Parser.feed resp (String.sub (Kv.Resp.encode (Kv.Command.to_resp set)) 0 1448);
   let probes =
     [
       ( "trace.emitf_guarded_disabled",
@@ -1069,6 +1076,7 @@ let alloc () =
         fun () -> E2e.Ledger.completion ledger_off ~latency:123_456 );
       ( "shard.steer_disabled",
         fun () -> ignore (Shard.Steer.lookup steer "bare/c42") );
+      ("resp.next_incomplete", fun () -> ignore (Kv.Resp.Parser.next resp));
     ]
   in
   let results = List.map (fun (name, f) -> (name, alloc_per_op f)) probes in

@@ -74,8 +74,7 @@ let rec create engine ~cpu ~socket cfg =
 and wake t = if not t.busy then process t
 
 and process t =
-  let avail = Tcp.Socket.recv_available t.socket in
-  if avail > 0 then Resp.Parser.feed t.parser (Tcp.Socket.recv t.socket avail);
+  Tcp.Socket.recv_into t.socket (Resp.Parser.feed_sub t.parser);
   match Resp.Parser.next t.parser with
   | Error msg -> failwith ("kv client: protocol error: " ^ msg)
   | Ok None -> ()
@@ -104,15 +103,15 @@ let request t cmd ~on_complete =
   t.issued <- t.issued + 1;
   E2e.Hints.create t.hints ~at:now 1;
   Queue.add { issued_at = now; on_complete } t.pending;
-  let wire = Resp.encode (Command.to_resp cmd) in
+  let wire = Resp.encode_parts (Command.to_resp cmd) in
+  let len = Tcp.Slice.total_length wire in
   if span_tracing t then
-    span_event t ~at:now
-      (Sim.Trace.Req_issued { req; off = t.next_off; len = String.length wire });
-  t.next_off <- t.next_off + String.length wire;
+    span_event t ~at:now (Sim.Trace.Req_issued { req; off = t.next_off; len });
+  t.next_off <- t.next_off + len;
   Sim.Cpu.run t.cpu ~cost:t.send_cost (fun () ->
       if span_tracing t then
         span_event t ~at:(Sim.Engine.now t.engine) (Sim.Trace.Req_sent { req });
-      Tcp.Socket.send t.socket wire)
+      Tcp.Socket.sendv t.socket wire)
 
 let outstanding t = Queue.length t.pending
 let issued t = t.issued

@@ -71,8 +71,7 @@ let rec wake t =
 and process t =
   t.busy <- true;
   t.wakeups <- t.wakeups + 1;
-  let avail = Tcp.Socket.recv_available t.socket in
-  if avail > 0 then Resp.Parser.feed t.parser (Tcp.Socket.recv t.socket avail);
+  Tcp.Socket.recv_into t.socket (Resp.Parser.feed_sub t.parser);
   let requests = drain_requests t in
   let k = List.length requests in
   if k = 0 then t.empty_wakeups <- t.empty_wakeups + 1
@@ -92,13 +91,13 @@ and process t =
         (fun j cmd ->
           let reply = Command.execute t.store ~now cmd in
           t.served <- t.served + 1;
-          let wire = Resp.encode reply in
+          let wire = Resp.encode_parts reply in
+          let len = Tcp.Slice.total_length wire in
           if span_tracing t then
             span_event t ~at:now
-              (Sim.Trace.Srv_reply
-                 { req = first_req + j; off = t.reply_off; len = String.length wire });
-          t.reply_off <- t.reply_off + String.length wire;
-          Tcp.Socket.send t.socket wire)
+              (Sim.Trace.Srv_reply { req = first_req + j; off = t.reply_off; len });
+          t.reply_off <- t.reply_off + len;
+          Tcp.Socket.sendv t.socket wire)
         requests;
       t.busy <- false;
       (* Data may have accumulated while we were processing. *)

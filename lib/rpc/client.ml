@@ -47,8 +47,7 @@ let rec create engine ~cpu ~socket cfg =
 and wake t = if not t.busy then process t
 
 and process t =
-  let avail = Tcp.Socket.recv_available t.socket in
-  if avail > 0 then Frame.Decoder.feed t.decoder (Tcp.Socket.recv t.socket avail);
+  Tcp.Socket.recv_into t.socket (Frame.Decoder.feed_sub t.decoder);
   match Frame.Decoder.next t.decoder with
   | Error msg -> failwith ("rpc client: framing error: " ^ msg)
   | Ok None -> ()

@@ -39,13 +39,16 @@ let put_u64 buf v =
   put_u32 buf (Int64.to_int (Int64.shift_right_logical v 32) land 0xFFFF_FFFF);
   put_u32 buf (Int64.to_int (Int64.logand v 0xFFFF_FFFFL))
 
-let get_u16 s off = (Char.code s.[off] lsl 8) lor Char.code s.[off + 1]
-let get_u32 s off = (get_u16 s off lsl 16) lor get_u16 s (off + 2)
+(* Decoding reads the decoder's window in place, at offsets from its
+   first unconsumed byte. *)
+let get_u8 w off = Char.code (Tcp.Readbuf.get w off)
+let get_u16 w off = (get_u8 w off lsl 8) lor get_u8 w (off + 1)
+let get_u32 w off = (get_u16 w off lsl 16) lor get_u16 w (off + 2)
 
-let get_u64 s off =
+let get_u64 w off =
   Int64.logor
-    (Int64.shift_left (Int64.of_int (get_u32 s off)) 32)
-    (Int64.of_int (get_u32 s (off + 4)))
+    (Int64.shift_left (Int64.of_int (get_u32 w off)) 32)
+    (Int64.of_int (get_u32 w (off + 4)))
 
 let body_length = function
   | Request { meth; payload; _ } ->
@@ -78,77 +81,65 @@ let encode t =
     Buffer.add_string buf message);
   Buffer.contents buf
 
-let parse_body s =
-  (* [s] is the frame body, without the length prefix. *)
-  let n = String.length s in
+(* The [n]-byte frame body at [off] in [w], after the length prefix. *)
+let parse_body w ~off n =
+  let sub o len = Tcp.Readbuf.sub_string w (off + o) len in
   if n < 9 then Error "frame body shorter than header"
   else begin
-    let kind = Char.code s.[0] in
-    let id = get_u64 s 1 in
+    let kind = get_u8 w off in
+    let id = get_u64 w (off + 1) in
     if kind = kind_request then begin
       if n < 11 then Error "request body too short for method length"
       else begin
-        let mlen = get_u16 s 9 in
+        let mlen = get_u16 w (off + 9) in
         if 11 + mlen > n then Error "method name exceeds frame"
         else
-          Ok
-            (Request
-               {
-                 id;
-                 meth = String.sub s 11 mlen;
-                 payload = String.sub s (11 + mlen) (n - 11 - mlen);
-               })
+          Ok (Request { id; meth = sub 11 mlen; payload = sub (11 + mlen) (n - 11 - mlen) })
       end
     end
-    else if kind = kind_response then
-      Ok (Response { id; payload = String.sub s 9 (n - 9) })
-    else if kind = kind_error then
-      Ok (Error_response { id; message = String.sub s 9 (n - 9) })
+    else if kind = kind_response then Ok (Response { id; payload = sub 9 (n - 9) })
+    else if kind = kind_error then Ok (Error_response { id; message = sub 9 (n - 9) })
     else Error (Printf.sprintf "unknown frame kind %d" kind)
   end
 
 module Decoder = struct
   type nonrec t = {
-    mutable buf : Buffer.t;
-    mutable pos : int;
+    buf : Tcp.Readbuf.t;
     mutable failed : string option;
   }
 
-  let create () = { buf = Buffer.create 256; pos = 0; failed = None }
+  let create () = { buf = Tcp.Readbuf.create (); failed = None }
 
-  let feed t s = Buffer.add_string t.buf s
+  let feed t s = Tcp.Readbuf.feed t.buf s
+  let feed_sub t s off len = Tcp.Readbuf.feed_sub t.buf s off len
 
-  let buffered t = Buffer.length t.buf - t.pos
+  let buffered t = Tcp.Readbuf.length t.buf
 
-  let compact t =
-    if t.pos > 4096 && t.pos * 2 > Buffer.length t.buf then begin
-      let rest = Buffer.sub t.buf t.pos (Buffer.length t.buf - t.pos) in
-      let fresh = Buffer.create (String.length rest + 256) in
-      Buffer.add_string fresh rest;
-      t.buf <- fresh;
-      t.pos <- 0
-    end
-
+  (* Until the length prefix, then the whole frame, has arrived, [next]
+     is the O(1) [ready] check. *)
   let next t =
     match t.failed with
     | Some msg -> Error msg
     | None ->
-      let avail = buffered t in
-      if avail < 4 then Ok None
+      if not (Tcp.Readbuf.ready t.buf) then Ok None
+      else if buffered t < 4 then begin
+        Tcp.Readbuf.await t.buf 4;
+        Ok None
+      end
       else begin
-        let s = Buffer.contents t.buf in
-        let body = get_u32 s t.pos in
-        if avail < 4 + body then Ok None
-        else begin
-          match parse_body (String.sub s (t.pos + 4) body) with
+        let body = get_u32 t.buf 0 in
+        if buffered t < 4 + body then begin
+          Tcp.Readbuf.await t.buf (4 + body);
+          Ok None
+        end
+        else
+          match parse_body t.buf ~off:4 body with
           | Ok frame ->
-            t.pos <- t.pos + 4 + body;
-            compact t;
+            Tcp.Readbuf.consume t.buf (4 + body);
             Ok (Some frame)
           | Error msg ->
             t.failed <- Some msg;
             Error msg
-        end
       end
 end
 

@@ -27,13 +27,18 @@ val encode : t -> string
 
 val encoded_length : t -> int
 
-(** Incremental decoder over a TCP byte stream. *)
+(** Incremental decoder over a TCP byte stream, reading frames in
+    place from a {!Tcp.Readbuf} window. *)
 module Decoder : sig
   type frame := t
   type t
 
   val create : unit -> t
   val feed : t -> string -> unit
+
+  val feed_sub : t -> string -> int -> int -> unit
+  (** [feed_sub t s off len] feeds bytes [off, off + len) of [s]: the
+      callback for {!Tcp.Socket.recv_into}. *)
 
   val next : t -> (frame option, string) result
   (** [Ok None] until a whole frame is buffered; [Error _] on a

@@ -38,8 +38,7 @@ let rec wake t = if not t.busy then process t
 and process t =
   t.busy <- true;
   t.wakeups <- t.wakeups + 1;
-  let avail = Tcp.Socket.recv_available t.socket in
-  if avail > 0 then Frame.Decoder.feed t.decoder (Tcp.Socket.recv t.socket avail);
+  Tcp.Socket.recv_into t.socket (Frame.Decoder.feed_sub t.decoder);
   let requests = drain_requests t in
   let k = List.length requests in
   if k > 0 then Sim.Stats.Summary.add t.batch_sizes (float_of_int k);

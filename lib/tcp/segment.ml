@@ -1,7 +1,7 @@
 type t = {
   seq : int;
   ack : int;
-  payload : string;
+  payload : Slice.t;
   window : int;
   push : bool;
   msg_ends : int;
@@ -17,9 +17,10 @@ type t = {
 
 let make ?(payload = "") ?(push = false) ?(msg_ends = 0) ?e2e ?hint ?ts_val ?ts_ecr
     ?(sack = []) ?(rst = false) ?(syn = false) ?(fin = false) ~seq ~ack ~window () =
-  { seq; ack; payload; window; push; msg_ends; e2e; hint; ts_val; ts_ecr; sack; rst; syn; fin }
+  { seq; ack; payload = Slice.of_string payload; window; push; msg_ends; e2e; hint; ts_val;
+    ts_ecr; sack; rst; syn; fin }
 
-let len t = String.length t.payload
+let len t = Slice.length t.payload
 
 let is_pure_ack t = len t = 0 && not t.fin && not t.rst && not t.syn
 
@@ -35,9 +36,10 @@ let wire_bytes t =
   header_bytes + len t + opt + sack_opt
 
 let pp ppf t =
-  Format.fprintf ppf "seq=%d ack=%d len=%d win=%d%s%s%s%s%s" t.seq t.ack (len t)
+  Format.fprintf ppf "seq=%d ack=%d len=%d win=%d%s%s%s%s%s%s" t.seq t.ack (len t)
     t.window
-    (if t.push then " PSH" else "" ^ if t.fin then " FIN" else "")
+    (if t.push then " PSH" else "")
+    (if t.fin then " FIN" else "")
     (if t.rst then " RST" else "")
     (if t.syn then " SYN" else "")
     (match t.sack with

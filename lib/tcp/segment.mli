@@ -7,7 +7,8 @@
 type t = {
   seq : int;  (** stream offset of the first payload byte *)
   ack : int;  (** cumulative ack: next byte expected from the peer *)
-  payload : string;
+  payload : Slice.t;
+      (** a view of the sender's application bytes, shared, not copied *)
   window : int;  (** advertised receive window, bytes *)
   push : bool;  (** PSH: carries the final byte of an app send() *)
   msg_ends : int;

@@ -99,10 +99,24 @@ val receive_batch : t -> Segment.t list -> unit
 
 val send : t -> string -> unit
 (** Queue one application write (a [send(2)] call); triggers
-    transmission subject to Nagle/cork/window rules. *)
+    transmission subject to Nagle/cork/window rules.  [send t s] is
+    [sendv t [Slice.of_string s]]. *)
+
+val sendv : t -> Slice.t list -> unit
+(** Queue one application write gathered from several parts (a
+    [writev(2)] call): one send boundary, one [sends] count, and the
+    parts' bytes in order.  The parts are shared, not copied — they
+    ride in-flight and retransmit-held segments until acknowledged, so
+    their strings must never be mutated. *)
 
 val recv : t -> int -> string
-(** Read up to [n] bytes of in-order received data. *)
+(** Read up to [n] bytes of in-order received data, copied. *)
+
+val recv_into : t -> (string -> int -> int -> unit) -> unit
+(** Read every buffered byte without copying: [f base off len] is
+    called once per received chunk in stream order (a parser's
+    [feed_sub]).  Accounting and window updates are exactly those of
+    {!recv} for the same bytes. *)
 
 val recv_available : t -> int
 

@@ -92,8 +92,7 @@ let test_resp_bad_bulk_terminator () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "accepted bad terminator"
 
-let prop_resp_roundtrip =
-  let gen_value =
+let gen_resp_value =
     QCheck.Gen.(
       sized @@ fix (fun self n ->
           let leaf =
@@ -109,13 +108,134 @@ let prop_resp_roundtrip =
           else
             oneof
               [ leaf; map (fun l -> Kv.Resp.Array (Some l)) (list_size (0 -- 4) (self (n / 2))) ]))
-  in
+
+let prop_resp_roundtrip =
   QCheck.Test.make ~name:"RESP roundtrip (arbitrary values)" ~count:300
-    (QCheck.make gen_value)
+    (QCheck.make gen_resp_value)
     (fun v ->
       match Kv.Resp.parse_exactly (Kv.Resp.encode v) with
       | Ok v' -> Kv.Resp.equal v v'
       | Error _ -> false)
+
+(* Words [f ()] allocates, minor and direct-to-major. *)
+let words_allocated f =
+  let before = Gc.allocated_bytes () in
+  f ();
+  (Gc.allocated_bytes () -. before) /. float_of_int (Sys.word_size / 8)
+
+(* Feed [wire] at the cyclic cut widths, draining after every feed;
+   returns the values and the first error. *)
+let parse_at_cuts wire cuts =
+  let p = Kv.Resp.Parser.create () in
+  let values = ref [] and error = ref None in
+  let pos = ref 0 and k = ref 0 in
+  while !pos < String.length wire do
+    let n = min (List.nth cuts (!k mod List.length cuts)) (String.length wire - !pos) in
+    Kv.Resp.Parser.feed_sub p wire !pos n;
+    pos := !pos + n;
+    incr k;
+    let rec drain () =
+      match Kv.Resp.Parser.next p with
+      | Ok (Some v) ->
+        values := v :: !values;
+        drain ()
+      | Ok None -> ()
+      | Error e -> if !error = None then error := Some e
+    in
+    drain ()
+  done;
+  (p, List.rev !values, !error)
+
+let prop_resp_parse_any_cuts =
+  QCheck.Test.make ~name:"RESP parser matches parse_exactly at any cuts" ~count:300
+    QCheck.(
+      pair
+        (make Gen.(list_size (1 -- 6) gen_resp_value))
+        (list_of_size
+           Gen.(1 -- 20)
+           (make Gen.(frequency [ (1, return 1); (3, 1 -- 40) ]))))
+    (fun (values, cuts) ->
+      let wires = List.map Kv.Resp.encode values in
+      let expected = List.map (fun w -> Result.get_ok (Kv.Resp.parse_exactly w)) wires in
+      (* a trailing protocol violation must fail, and stay failed *)
+      let p, parsed, error = parse_at_cuts (String.concat "" wires ^ "!bad\r\n") cuts in
+      Kv.Resp.Parser.feed p "+OK\r\n";
+      List.equal Kv.Resp.equal expected parsed
+      && error <> None
+      && Kv.Resp.Parser.next p = Error (Option.get error))
+
+let test_resp_hostile_headers () =
+  let check_small name input expect_error =
+    let p = Kv.Resp.Parser.create () in
+    let result = ref (Ok None) in
+    let words =
+      words_allocated (fun () ->
+          Kv.Resp.Parser.feed p input;
+          result := Kv.Resp.Parser.next p)
+    in
+    Alcotest.(check bool) (name ^ ": outcome") expect_error (Result.is_error !result);
+    if words > 1024. then Alcotest.failf "%s: %.0f words allocated" name words;
+    p
+  in
+  ignore (check_small "bulk over 512 MiB" "$99999999999\r\n" true);
+  ignore (check_small "negative array" "*-2\r\n" true);
+  ignore (check_small "length wrapping the int range" "$18446744073709551621\r\n" true);
+  ignore (check_small "integer out of range" ":99999999999999999999\r\n" true);
+  ignore (check_small "huge array, no items" "*99999999999\r\n" false);
+  (* A claim under the limit waits for its body; the window follows the
+     bytes that arrive, not the 500 MiB claimed. *)
+  let p = check_small "500 MiB bulk, no body" "$524288000\r\n" false in
+  let piece = String.make 1448 'x' in
+  let fed = 64 * 1448 in
+  let words =
+    words_allocated (fun () ->
+        for _ = 1 to 64 do
+          Kv.Resp.Parser.feed p piece;
+          if Kv.Resp.Parser.next p <> Ok None then Alcotest.fail "completed early"
+        done)
+  in
+  if words > float_of_int (4 * fed / 8) then
+    Alcotest.failf "%.0f words allocated for %d bytes fed" words fed
+
+let test_resp_linear_cost () =
+  let size = 1 lsl 20 in
+  let wire = Kv.Resp.encode (Kv.Resp.Bulk (Some (String.make size 'v'))) in
+  let p = Kv.Resp.Parser.create () in
+  let got = ref 0 in
+  let words =
+    words_allocated (fun () ->
+        let pos = ref 0 in
+        while !pos < String.length wire do
+          let n = min 1448 (String.length wire - !pos) in
+          Kv.Resp.Parser.feed_sub p wire !pos n;
+          pos := !pos + n;
+          match Kv.Resp.Parser.next p with
+          | Ok (Some (Kv.Resp.Bulk (Some v))) -> got := String.length v
+          | Ok None -> ()
+          | Ok (Some _) -> Alcotest.fail "wrong value"
+          | Error e -> Alcotest.fail e
+        done)
+  in
+  Alcotest.(check int) "value parsed whole" size !got;
+  let limit = 3. *. float_of_int (size / 8) in
+  if words >= limit then Alcotest.failf "%.0f words allocated, limit %.0f" words limit
+
+let test_resp_encode_parts () =
+  let big = String.make 16384 'v' in
+  let check v =
+    let parts = Kv.Resp.encode_parts v in
+    Alcotest.(check string) "parts concatenate to encode" (Kv.Resp.encode v)
+      (String.concat "" (List.map Tcp.Slice.to_string parts));
+    parts
+  in
+  let bulks l = Kv.Resp.Array (Some (List.map (fun s -> Kv.Resp.Bulk (Some s)) l)) in
+  (match check (bulks [ "SET"; "k"; big ]) with
+  | [ _; body; _ ] ->
+    Alcotest.(check bool) "body by reference" true (body.Tcp.Slice.base == big)
+  | parts -> Alcotest.failf "%d parts" (List.length parts));
+  Alcotest.(check int) "small value: one part" 1 (List.length (check (bulks [ "GET"; "k" ])));
+  Alcotest.(check int) "two bodies" 5 (List.length (check (bulks [ big; big ])));
+  ignore (check (Kv.Resp.Integer min_int))
 
 (* {1 Store} *)
 
@@ -294,6 +414,11 @@ let suite =
         Alcotest.test_case "malformed input" `Quick test_resp_malformed;
         Alcotest.test_case "bad bulk terminator" `Quick test_resp_bad_bulk_terminator;
         QCheck_alcotest.to_alcotest prop_resp_roundtrip;
+        QCheck_alcotest.to_alcotest prop_resp_parse_any_cuts;
+        Alcotest.test_case "hostile headers allocate little" `Quick
+          test_resp_hostile_headers;
+        Alcotest.test_case "large bulk costs linear" `Quick test_resp_linear_cost;
+        Alcotest.test_case "encode_parts by reference" `Quick test_resp_encode_parts;
       ] );
     ( "kv.store",
       [

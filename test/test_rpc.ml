@@ -67,6 +67,19 @@ let test_frame_bad_kind () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "accepted bad kind"
 
+let test_frame_hostile_length () =
+  (* A 4 GiB length prefix with a few body bytes: the decoder waits,
+     sizing nothing from the claimed length. *)
+  let d = Rpc.Frame.Decoder.create () in
+  let before = Gc.allocated_bytes () in
+  Rpc.Frame.Decoder.feed d "\xff\xff\xff\xff\x01partial";
+  let first = Rpc.Frame.Decoder.next d in
+  Rpc.Frame.Decoder.feed d (String.make 1000 'x');
+  let second = Rpc.Frame.Decoder.next d in
+  let words = (Gc.allocated_bytes () -. before) /. 8. in
+  Alcotest.(check bool) "waiting" true (first = Ok None && second = Ok None);
+  if words > 4096. then Alcotest.failf "%.0f words allocated" words
+
 let test_frame_oversized_method () =
   Alcotest.check_raises "oversized method"
     (Invalid_argument "Frame.encode: method name exceeds 65535 bytes") (fun () ->
@@ -267,6 +280,7 @@ let suite =
         Alcotest.test_case "pipelined frames" `Quick test_frame_pipelined;
         Alcotest.test_case "bad kind rejected" `Quick test_frame_bad_kind;
         Alcotest.test_case "oversized method rejected" `Quick test_frame_oversized_method;
+        Alcotest.test_case "hostile length allocates little" `Quick test_frame_hostile_length;
         QCheck_alcotest.to_alcotest prop_frame_roundtrip;
       ] );
     ( "rpc.service",

@@ -53,6 +53,26 @@ let test_large_transfer_segmentation () =
   let c = Tcp.Socket.counters a in
   Alcotest.(check int) "segments = ceil(n/mss)" ((n + 1447) / 1448) c.segs_out
 
+let test_sendv_one_write_shared () =
+  let engine, conn = testbed () in
+  let a = Tcp.Conn.sock_a conn and b = Tcp.Conn.sock_b conn in
+  let body = String.init 10_000 (fun i -> Char.chr (i mod 251)) in
+  let parts = List.map Tcp.Slice.of_string [ "head:"; body; ":tail" ] in
+  let received = Buffer.create 10_010 and shared = ref false in
+  Tcp.Socket.on_readable b (fun () ->
+      Tcp.Socket.recv_into b (fun base off len ->
+          if base == body then shared := true;
+          Buffer.add_substring received base off len));
+  Tcp.Socket.sendv a parts;
+  Sim.Engine.run engine;
+  Alcotest.(check string) "bytes in order" ("head:" ^ body ^ ":tail")
+    (Buffer.contents received);
+  Alcotest.(check int) "one send" 1 (Tcp.Socket.counters a).sends;
+  Alcotest.(check int) "segments as for one string" ((10_010 + 1447) / 1448)
+    (Tcp.Socket.counters a).segs_out;
+  Alcotest.(check bool) "body delivered without a copy" true !shared;
+  Alcotest.(check int) "receive buffer drained" 0 (Tcp.Socket.recv_available b)
+
 let test_bidirectional () =
   let engine, conn = testbed () in
   let a = Tcp.Conn.sock_a conn and b = Tcp.Conn.sock_b conn in
@@ -371,6 +391,8 @@ let suite =
         Alcotest.test_case "large transfer segmentation" `Quick
           test_large_transfer_segmentation;
         Alcotest.test_case "bidirectional" `Quick test_bidirectional;
+        Alcotest.test_case "sendv is one write, recv_into shares" `Quick
+          test_sendv_one_write_shared;
         Alcotest.test_case "nagle holds small write" `Quick
           test_nagle_holds_second_small_write;
         Alcotest.test_case "nodelay immediate" `Quick test_nodelay_sends_immediately;

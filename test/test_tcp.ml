@@ -46,13 +46,26 @@ let test_bytebuf_fifo () =
   Alcotest.(check string) "remainder" "rld" (Tcp.Bytebuf.read_all b);
   Alcotest.(check bool) "empty" true (Tcp.Bytebuf.is_empty b)
 
-let test_bytebuf_peek_drop () =
+let test_bytebuf_take_shares () =
   let b = Tcp.Bytebuf.create () in
-  Tcp.Bytebuf.append b "abcdef";
-  Alcotest.(check string) "peek" "abc" (Tcp.Bytebuf.peek b 3);
-  Alcotest.(check int) "peek non-consuming" 6 (Tcp.Bytebuf.length b);
-  Alcotest.(check int) "drop" 2 (Tcp.Bytebuf.drop b 2);
-  Alcotest.(check string) "after drop" "cdef" (Tcp.Bytebuf.read_all b)
+  let value = String.make 100 'v' in
+  Tcp.Bytebuf.append b value;
+  Tcp.Bytebuf.append b "tail";
+  let s = Tcp.Bytebuf.take b 40 in
+  Alcotest.(check bool) "inside one chunk: shared" true (s.Tcp.Slice.base == value);
+  Alcotest.(check int) "offset" 0 s.off;
+  let s = Tcp.Bytebuf.take b 30 in
+  Alcotest.(check bool) "still shared" true (s.base == value && s.off = 40);
+  let s = Tcp.Bytebuf.take b 32 in
+  Alcotest.(check string) "across chunks: copied" (String.make 30 'v' ^ "ta")
+    (Tcp.Slice.to_string s);
+  let pieces = ref [] in
+  Alcotest.(check int) "drain count" 2
+    (Tcp.Bytebuf.drain b (fun base off len ->
+         pieces := String.sub base off len :: !pieces));
+  Alcotest.(check (list string)) "drain pieces" [ "il" ] !pieces;
+  Alcotest.(check int) "conservation" (Tcp.Bytebuf.total_appended b)
+    (Tcp.Bytebuf.total_consumed b)
 
 let test_bytebuf_conservation () =
   let b = Tcp.Bytebuf.create () in
@@ -75,6 +88,21 @@ let prop_bytebuf_roundtrip =
         Buffer.add_string out (Tcp.Bytebuf.read b 7)
       done;
       String.equal (Buffer.contents out) expected)
+
+let prop_bytebuf_take_drain =
+  QCheck.Test.make ~name:"take and drain preserve the byte stream" ~count:200
+    QCheck.(
+      pair (list (string_of_size Gen.(0 -- 50))) (list_of_size Gen.(0 -- 10) (1 -- 60)))
+    (fun (chunks, cuts) ->
+      let b = Tcp.Bytebuf.create () in
+      List.iter (Tcp.Bytebuf.append b) chunks;
+      let out = Buffer.create 64 in
+      List.iter
+        (fun n -> Buffer.add_string out (Tcp.Slice.to_string (Tcp.Bytebuf.take b n)))
+        cuts;
+      ignore (Tcp.Bytebuf.drain b (Buffer.add_substring out));
+      Tcp.Bytebuf.is_empty b
+      && String.equal (Buffer.contents out) (String.concat "" chunks))
 
 (* {1 Unit_fifo} *)
 
@@ -473,6 +501,11 @@ let test_segment_wire_bytes () =
   Alcotest.(check bool) "pure ack" true
     (Tcp.Segment.is_pure_ack (Tcp.Segment.make ~seq:0 ~ack:0 ~window:0 ()))
 
+let test_segment_pp_flags () =
+  let s = Tcp.Segment.make ~payload:"x" ~push:true ~fin:true ~seq:7 ~ack:3 ~window:9 () in
+  Alcotest.(check string) "PSH and FIN both shown" "seq=7 ack=3 len=1 win=9 PSH FIN"
+    (Format.asprintf "%a" Tcp.Segment.pp s)
+
 let suite =
   [
     ( "tcp.seq32",
@@ -485,9 +518,10 @@ let suite =
     ( "tcp.bytebuf",
       [
         Alcotest.test_case "FIFO across chunks" `Quick test_bytebuf_fifo;
-        Alcotest.test_case "peek and drop" `Quick test_bytebuf_peek_drop;
+        Alcotest.test_case "take shares, drain hands on" `Quick test_bytebuf_take_shares;
         Alcotest.test_case "byte conservation" `Quick test_bytebuf_conservation;
         QCheck_alcotest.to_alcotest prop_bytebuf_roundtrip;
+        QCheck_alcotest.to_alcotest prop_bytebuf_take_drain;
       ] );
     ( "tcp.unit_fifo",
       [
@@ -553,5 +587,8 @@ let suite =
         Alcotest.test_case "convergence" `Quick test_rtt_converges;
       ] );
     ( "tcp.segment",
-      [ Alcotest.test_case "wire byte accounting" `Quick test_segment_wire_bytes ] );
+      [
+        Alcotest.test_case "wire byte accounting" `Quick test_segment_wire_bytes;
+        Alcotest.test_case "pp shows PSH with FIN" `Quick test_segment_pp_flags;
+      ] );
   ]
