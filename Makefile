@@ -94,7 +94,9 @@ scenario-smoke:
 
 # Binary trace smoke: the same run traced as .bin and as .jsonl must
 # inspect identically, and convert must round-trip the binary file
-# through JSONL byte-for-byte.
+# through JSONL byte-for-byte.  A sharded fleet with churn does the
+# same round-trip for the fleet event kinds (connection open/close,
+# load-balancer assignment, shard enqueue).
 convert-smoke:
 	dune build bin/e2ebench.exe
 	mkdir -p _smoke
@@ -110,6 +112,21 @@ convert-smoke:
 	dune exec bin/e2ebench.exe -- convert _smoke/conv-rt.jsonl _smoke/conv-rt.bin
 	@cmp -s _smoke/conv.bin _smoke/conv-rt.bin \
 	  || { echo "convert-smoke: binary did not survive the JSONL round-trip"; exit 1; }
+	printf '%s\n' \
+	  'fleet seed=11 warmup_ms=10 duration_ms=40 scope=per_conn' \
+	  'server cores=2 lb=least_loaded' \
+	  'tenant name=churny conns=4 rate_rps=20000 batching=dynamic churn_script=20:+2,30:-2 churn_max=32' \
+	  > _smoke/conv-fleet.scn
+	dune exec bin/e2ebench.exe -- scenario _smoke/conv-fleet.scn \
+	  --trace-out _smoke/conv-fleet.bin > /dev/null
+	dune exec bin/e2ebench.exe -- convert _smoke/conv-fleet.bin _smoke/conv-fleet-rt.jsonl
+	@for ev in conn_open conn_close lb_assign shard_enq; do \
+	  grep -q "\"ev\":\"$$ev\"" _smoke/conv-fleet-rt.jsonl \
+	    || { echo "convert-smoke: fleet trace has no $$ev record"; exit 1; }; \
+	done
+	dune exec bin/e2ebench.exe -- convert _smoke/conv-fleet-rt.jsonl _smoke/conv-fleet-rt.bin
+	@cmp -s _smoke/conv-fleet.bin _smoke/conv-fleet-rt.bin \
+	  || { echo "convert-smoke: fleet trace did not survive the JSONL round-trip"; exit 1; }
 	@echo "convert-smoke: OK"
 
 # Decision-ledger / SLO-observatory smoke: trace a per-conn dynamic
@@ -218,7 +235,8 @@ scale-smoke:
 # Zero-allocation gate: every guarded hot-path probe (disabled trace
 # emission, event-heap push/take, idle engine polling, delayed-ACK
 # bookkeeping, a RESP parser polled while it awaits the rest of a
-# value) must measure 0.000 minor words per op.  Writes
+# value, a binary trace writer appending a record) must measure 0.000
+# minor words per op.  Writes
 # BENCH_alloc.json; exits nonzero on any regression.
 alloc-gate:
 	dune exec bench/main.exe -- alloc

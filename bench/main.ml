@@ -1048,6 +1048,25 @@ let alloc () =
     Kv.Command.Set { key = "k"; value = String.make 16384 'v'; ttl = None }
   in
   Kv.Resp.Parser.feed resp (String.sub (Kv.Resp.encode (Kv.Command.to_resp set)) 0 1448);
+  (* A binary trace writer streaming records whose ids and strings are
+     already interned: one record per call, cycling through every
+     payload field type. *)
+  let bin_oc = open_out_bin Filename.null in
+  let bin_writer = Sim.Trace.Binary.writer bin_oc in
+  let bin_records =
+    Array.map
+      (fun event -> { Sim.Trace.at = 123_456; id = "c0"; event })
+      [|
+        Sim.Trace.Segment_sent { seq = 42; len = 1448; push = true; retx = false };
+        Sim.Trace.Segment_dropped { seq = 0x1_0000_0000; len = 64; reason = "loss" };
+        Sim.Trace.Estimate_computed
+          { latency_us = Some 88.5; throughput = 6e4; window_us = 1e3 };
+        Sim.Trace.Decision_made
+          { decision = 3; on_us = None; off_us = Some 54.5; mode = "on"; action = "off";
+            reason = "exploit"; frozen = true; stale_us = -1.0 };
+      |]
+  in
+  let bin_next = ref 0 in
   let probes =
     [
       ( "trace.emitf_guarded_disabled",
@@ -1077,9 +1096,14 @@ let alloc () =
       ( "shard.steer_disabled",
         fun () -> ignore (Shard.Steer.lookup steer "bare/c42") );
       ("resp.next_incomplete", fun () -> ignore (Kv.Resp.Parser.next resp));
+      ( "trace.binary_write",
+        fun () ->
+          Sim.Trace.Binary.write bin_writer bin_records.(!bin_next land 3);
+          incr bin_next );
     ]
   in
   let results = List.map (fun (name, f) -> (name, alloc_per_op f)) probes in
+  close_out bin_oc;
   pf "%-34s %14s\n" "probe" "words/op";
   pf "%s\n" (String.make 50 '-');
   List.iter (fun (name, w) -> pf "%-34s %14.4f\n" name w) results;

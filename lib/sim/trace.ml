@@ -167,41 +167,362 @@ let shard_of_id id =
       int_of_string_opt (String.sub id (i + 2) (String.length id - i - 2))
   | Some _ | None -> None
 
+(* {1 Event descriptors}
+
+   Both codecs are driven by one descriptor per event: its binary kind
+   id, its JSON ["ev"] name and its typed field list in binary payload
+   order.  [encode] is the one place that takes an event apart and each
+   descriptor's [decode] the one place that builds it; the JSONL and
+   binary writers and readers in between only move field values through
+   a [frame].  Adding an event is one descriptor, one [encode] arm and a
+   binary version bump ([detail] needs an arm only for a custom
+   rendering). *)
+
+(* A field's type; the string is its JSON key. *)
+type field =
+  | I64 of string  (** int, always 8 bytes *)
+  | Slot of string  (** int, u32 unless the record's wide flag widens it to i64 *)
+  | F64 of string  (** float, as IEEE-754 bits *)
+  | Str of string  (** string, a u32 string-table reference *)
+  | Flag of string  (** bool, a flag bit *)
+  | Opt_f64 of string  (** float option: a presence flag bit plus an f64 (0 if absent) *)
+  | Retag of string
+      (** bool, a flag bit that JSONL carries in the ["ev"] name: this
+          name replaces the descriptor's when set *)
+
+(* One event's field values by position: [ints] holds I64 and Slot
+   values and, for flag-bit fields, nonzero when set; [floats] the F64
+   and Opt_f64 values, [strs] the Str values; [n] is [encode]'s cursor. *)
+type frame = {
+  ints : int array;
+  floats : float array;
+  strs : string array;
+  mutable n : int;
+}
+
+type desc = {
+  kind : int;
+  ev : string;
+  fields : field array;
+  bits : int array;  (** flag mask per field; bits go from bit 0 in field order *)
+  json : int array;  (** field positions in JSON key order *)
+  narrow : int array;  (** binary offset of each field, then the payload length *)
+  wide : int array;  (** the same with slots widened to i64 *)
+  decode : frame -> event;
+}
+
+let max_fields = 8
+
+let new_frame () =
+  {
+    ints = Array.make max_fields 0;
+    floats = Array.make max_fields 0.0;
+    strs = Array.make max_fields "";
+    n = 0;
+  }
+
+(* The frame of the codecs that have none of their own (a binary writer
+   has): a frame is only live within one encode or decode call. *)
+let frame_key = Domain.DLS.new_key new_frame
+
+let key (I64 k | Slot k | F64 k | Str k | Flag k | Opt_f64 k | Retag k) = k
+
+let width ~wide = function
+  | I64 _ | F64 _ | Opt_f64 _ -> 8
+  | Slot _ -> if wide then 8 else 4
+  | Str _ -> 4
+  | Flag _ | Retag _ -> 0
+
+(* Descriptors by kind id, in definition order, and by JSON ["ev"] name
+   ([Retag] names included); [desc] registers each one. *)
+let defined = ref []
+let by_ev = Hashtbl.create 64
+
+(* [json] gives the JSON key order where it differs from the field
+   order. *)
+let desc kind ev ?json fields decode =
+  let json = Option.value json ~default:(List.map key fields) in
+  let fields = Array.of_list fields in
+  let n_bits = ref 0 in
+  let bit = function
+    | Flag _ | Opt_f64 _ | Retag _ ->
+        incr n_bits;
+        1 lsl (!n_bits - 1)
+    | I64 _ | Slot _ | F64 _ | Str _ -> 0
+  in
+  let bits = Array.map bit fields in
+  assert (kind = List.length !defined);
+  assert (Array.length fields <= max_fields && !n_bits <= 6);
+  let pos k = Option.get (Array.find_index (fun fd -> key fd = k) fields) in
+  let json = Array.of_list (List.map pos json) in
+  let offsets wide =
+    let len, offs = Array.fold_left_map (fun o fd -> (o + width ~wide fd, o)) 0 fields in
+    Array.append offs [| len |]
+  in
+  let narrow = offsets false and wide = offsets true in
+  let d = { kind; ev; fields; bits; json; narrow; wide; decode } in
+  defined := d :: !defined;
+  Hashtbl.replace by_ev ev d;
+  Array.iter (function Retag k -> Hashtbl.replace by_ev k d | _ -> ()) fields;
+  d
+
+let[@inline] int f i = f.ints.(i)
+let[@inline] bool f i = f.ints.(i) <> 0
+let[@inline] float f i = f.floats.(i)
+let[@inline] str f i = f.strs.(i)
+let[@inline] opt f i = if f.ints.(i) <> 0 then Some f.floats.(i) else None
+
+let segment_sent =
+  desc 0 "tx" [ I64 "seq"; Slot "len"; Flag "push"; Retag "retx" ] (fun f ->
+      Segment_sent { seq = int f 0; len = int f 1; push = bool f 2; retx = bool f 3 })
+
+let segment_received =
+  desc 1 "rx" [ I64 "seq"; Slot "fresh" ] (fun f ->
+      Segment_received { seq = int f 0; fresh = int f 1 })
+
+let ack_received =
+  desc 2 "ack" [ I64 "una"; Slot "acked" ] ~json:[ "acked"; "una" ] (fun f ->
+      Ack_received { una = int f 0; acked = int f 1 })
+
+let nagle_hold =
+  desc 3 "hold" [ Slot "chunk"; Slot "in_flight" ] (fun f ->
+      Nagle_hold { chunk = int f 0; in_flight = int f 1 })
+
+let nagle_toggle =
+  desc 4 "toggle" [ Flag "enabled" ] (fun f -> Nagle_toggle { enabled = bool f 0 })
+
+let cork_hold = desc 5 "cork" [ Slot "chunk" ] (fun f -> Cork_hold { chunk = int f 0 })
+
+let delack_fire =
+  desc 6 "delack_fire" [ Slot "pending" ] (fun f -> Delack_fire { pending = int f 0 })
+
+let delack_cancel =
+  desc 7 "delack_cancel" [ Slot "pending" ] (fun f -> Delack_cancel { pending = int f 0 })
+
+let fin_received =
+  desc 8 "fin" [ I64 "rcv_nxt" ] (fun f -> Fin_received { rcv_nxt = int f 0 })
+
+let segment_dropped =
+  desc 9 "drop" [ I64 "seq"; Slot "len"; Str "reason" ] (fun f ->
+      Segment_dropped { seq = int f 0; len = int f 1; reason = str f 2 })
+
+let segment_reordered =
+  desc 10 "reorder" [ I64 "seq"; F64 "delay_us" ] (fun f ->
+      Segment_reordered { seq = int f 0; delay_us = float f 1 })
+
+let segment_duplicated =
+  desc 11 "dup" [ I64 "seq" ] (fun f -> Segment_duplicated { seq = int f 0 })
+
+let share_corrupted =
+  desc 12 "share_corrupt" [ I64 "seq" ] (fun f -> Share_corrupted { seq = int f 0 })
+
+let share_rejected =
+  desc 13 "share_reject" [ Str "reason" ] (fun f -> Share_rejected { reason = str f 0 })
+
+let share_ingested =
+  desc 14 "share" [ Slot "unacked"; Slot "unread"; Slot "ackdelay" ] (fun f ->
+      Share_ingested
+        { unacked_total = int f 0; unread_total = int f 1; ackdelay_total = int f 2 })
+
+let estimate_computed =
+  desc 15 "estimate" [ Opt_f64 "latency_us"; F64 "throughput"; F64 "window_us" ] (fun f ->
+      Estimate_computed
+        { latency_us = opt f 0; throughput = float f 1; window_us = float f 2 })
+
+let request_done =
+  desc 16 "request" [ F64 "latency_us" ] (fun f ->
+      Request_done { latency_us = float f 0 })
+
+let req_issued =
+  desc 17 "req_issued" [ Slot "req"; I64 "off"; Slot "len" ] (fun f ->
+      Req_issued { req = int f 0; off = int f 1; len = int f 2 })
+
+let req_sent = desc 18 "req_sent" [ Slot "req" ] (fun f -> Req_sent { req = int f 0 })
+
+let req_complete =
+  desc 19 "req_complete" [ Slot "req" ] (fun f -> Req_complete { req = int f 0 })
+
+let srv_start = desc 20 "srv_start" [ Slot "req" ] (fun f -> Srv_start { req = int f 0 })
+
+let srv_reply =
+  desc 21 "srv_reply" [ Slot "req"; I64 "off"; Slot "len" ] (fun f ->
+      Srv_reply { req = int f 0; off = int f 1; len = int f 2 })
+
+let audit_window =
+  desc 22 "audit"
+    [ Str "queue"; F64 "l"; F64 "lambda"; F64 "w_us"; F64 "rel_err" ]
+    (fun f ->
+      Audit_window
+        {
+          queue = str f 0;
+          l_avg = float f 1;
+          lambda_per_s = float f 2;
+          w_us = float f 3;
+          rel_err = float f 4;
+        })
+
+let message =
+  desc 23 "msg" [ Str "tag"; Str "detail" ] (fun f ->
+      Message { tag = str f 0; detail = str f 1 })
+
+let segment_challenged =
+  desc 24 "challenge" [ I64 "seq"; Str "kind" ] (fun f ->
+      Segment_challenged { seq = int f 0; kind = str f 1 })
+
+let probe_sent =
+  desc 25 "probe" [ I64 "seq"; Slot "backoff" ] (fun f ->
+      Probe_sent { seq = int f 0; backoff = int f 1 })
+
+let decision_made =
+  desc 26 "decision"
+    [
+      Slot "decision";
+      Flag "frozen";
+      Opt_f64 "on_us";
+      Opt_f64 "off_us";
+      Str "mode";
+      Str "action";
+      Str "reason";
+      F64 "stale_us";
+    ]
+    ~json:
+      [ "decision"; "on_us"; "off_us"; "mode"; "action"; "reason"; "frozen"; "stale_us" ]
+    (fun f ->
+      Decision_made
+        {
+          decision = int f 0;
+          frozen = bool f 1;
+          on_us = opt f 2;
+          off_us = opt f 3;
+          mode = str f 4;
+          action = str f 5;
+          reason = str f 6;
+          stale_us = float f 7;
+        })
+
+let decision_outcome =
+  desc 27 "outcome"
+    [ Slot "decision"; Slot "n"; F64 "mean_us"; F64 "p99_us" ]
+    ~json:[ "decision"; "mean_us"; "p99_us"; "n" ]
+    (fun f ->
+      Decision_outcome
+        { decision = int f 0; n = int f 1; mean_us = float f 2; p99_us = float f 3 })
+
+let conn_opened =
+  desc 28 "conn_open" [ Slot "gen"; Flag "inherited" ] (fun f ->
+      Conn_opened { gen = int f 0; inherited = bool f 1 })
+
+let conn_closed =
+  desc 29 "conn_close" [ Slot "gen"; Slot "completed" ] (fun f ->
+      Conn_closed { gen = int f 0; completed = int f 1 })
+
+let lb_assigned =
+  desc 30 "lb_assign" [ Slot "shard"; Str "policy" ] (fun f ->
+      Lb_assigned { shard = int f 0; policy = str f 1 })
+
+let shard_enqueued =
+  desc 31 "shard_enq" [ Slot "shard"; Slot "depth" ] (fun f ->
+      Shard_enqueued { shard = int f 0; depth = int f 1 })
+
+let by_kind = Array.of_list (List.rev !defined)
+
+(* The steps of the encode visitor: each stores one field value at the
+   cursor and passes the descriptor on, so an [encode] arm reads as the
+   descriptor followed by its field values in order. *)
+let[@inline] put_int f v d =
+  f.ints.(f.n) <- v;
+  f.n <- f.n + 1;
+  d
+
+let[@inline] put_bool f v d = put_int f (Bool.to_int v) d
+
+let[@inline] put_float f v d =
+  f.floats.(f.n) <- v;
+  f.n <- f.n + 1;
+  d
+
+let[@inline] put_str f v d =
+  f.strs.(f.n) <- v;
+  f.n <- f.n + 1;
+  d
+
+let[@inline] put_opt f v d =
+  f.ints.(f.n) <- Bool.to_int (Option.is_some v);
+  put_float f (Option.value v ~default:0.0) d
+
+(* Store [ev]'s field values in [f] and return its descriptor. *)
+let encode f ev =
+  f.n <- 0;
+  match ev with
+  | Segment_sent { seq; len; push; retx } ->
+      segment_sent |> put_int f seq |> put_int f len |> put_bool f push |> put_bool f retx
+  | Segment_received { seq; fresh } ->
+      segment_received |> put_int f seq |> put_int f fresh
+  | Ack_received { acked; una } -> ack_received |> put_int f una |> put_int f acked
+  | Nagle_hold { chunk; in_flight } ->
+      nagle_hold |> put_int f chunk |> put_int f in_flight
+  | Nagle_toggle { enabled } -> nagle_toggle |> put_bool f enabled
+  | Cork_hold { chunk } -> cork_hold |> put_int f chunk
+  | Delack_fire { pending } -> delack_fire |> put_int f pending
+  | Delack_cancel { pending } -> delack_cancel |> put_int f pending
+  | Fin_received { rcv_nxt } -> fin_received |> put_int f rcv_nxt
+  | Segment_dropped { seq; len; reason } ->
+      segment_dropped |> put_int f seq |> put_int f len |> put_str f reason
+  | Segment_reordered { seq; delay_us } ->
+      segment_reordered |> put_int f seq |> put_float f delay_us
+  | Segment_duplicated { seq } -> segment_duplicated |> put_int f seq
+  | Segment_challenged { seq; kind } ->
+      segment_challenged |> put_int f seq |> put_str f kind
+  | Probe_sent { seq; backoff } -> probe_sent |> put_int f seq |> put_int f backoff
+  | Share_corrupted { seq } -> share_corrupted |> put_int f seq
+  | Share_rejected { reason } -> share_rejected |> put_str f reason
+  | Share_ingested { unacked_total = a; unread_total = b; ackdelay_total = c } ->
+      share_ingested |> put_int f a |> put_int f b |> put_int f c
+  | Estimate_computed { latency_us = l; throughput = t; window_us = w } ->
+      estimate_computed |> put_opt f l |> put_float f t |> put_float f w
+  | Request_done { latency_us } -> request_done |> put_float f latency_us
+  | Req_issued { req; off; len } ->
+      req_issued |> put_int f req |> put_int f off |> put_int f len
+  | Req_sent { req } -> req_sent |> put_int f req
+  | Req_complete { req } -> req_complete |> put_int f req
+  | Srv_start { req } -> srv_start |> put_int f req
+  | Srv_reply { req; off; len } ->
+      srv_reply |> put_int f req |> put_int f off |> put_int f len
+  | Audit_window { queue = q; l_avg = l; lambda_per_s = r; w_us = w; rel_err = e } ->
+      audit_window |> put_str f q |> put_float f l |> put_float f r |> put_float f w
+      |> put_float f e
+  | Message { tag; detail } -> message |> put_str f tag |> put_str f detail
+  | Decision_made { decision; on_us; off_us; mode; action; reason; frozen; stale_us } ->
+      decision_made
+      |> put_int f decision
+      |> put_bool f frozen
+      |> put_opt f on_us
+      |> put_opt f off_us
+      |> put_str f mode
+      |> put_str f action
+      |> put_str f reason
+      |> put_float f stale_us
+  | Decision_outcome { decision = d; mean_us = m; p99_us = p; n } ->
+      decision_outcome |> put_int f d |> put_int f n |> put_float f m |> put_float f p
+  | Conn_opened { gen; inherited } -> conn_opened |> put_int f gen |> put_bool f inherited
+  | Conn_closed { gen; completed } -> conn_closed |> put_int f gen |> put_int f completed
+  | Lb_assigned { shard; policy } -> lb_assigned |> put_int f shard |> put_str f policy
+  | Shard_enqueued { shard; depth } ->
+      shard_enqueued |> put_int f shard |> put_int f depth
+
+let ev_name d f =
+  match Array.find_index (function Retag _ -> true | _ -> false) d.fields with
+  | Some i when f.ints.(i) <> 0 -> key d.fields.(i)
+  | Some _ | None -> d.ev
+
 let tag r =
   match r.event with
-  | Segment_sent { retx = true; _ } -> "retx"
-  | Segment_sent _ -> "tx"
-  | Segment_received _ -> "rx"
-  | Ack_received _ -> "ack"
-  | Nagle_hold _ -> "hold"
-  | Nagle_toggle _ -> "toggle"
-  | Cork_hold _ -> "cork"
-  | Delack_fire _ -> "delack_fire"
-  | Delack_cancel _ -> "delack_cancel"
-  | Fin_received _ -> "fin"
-  | Segment_dropped _ -> "drop"
-  | Segment_reordered _ -> "reorder"
-  | Segment_duplicated _ -> "dup"
-  | Segment_challenged _ -> "challenge"
-  | Probe_sent _ -> "probe"
-  | Share_corrupted _ -> "share_corrupt"
-  | Share_rejected _ -> "share_reject"
-  | Share_ingested _ -> "share"
-  | Estimate_computed _ -> "estimate"
-  | Request_done _ -> "request"
-  | Req_issued _ -> "req_issued"
-  | Req_sent _ -> "req_sent"
-  | Req_complete _ -> "req_complete"
-  | Srv_start _ -> "srv_start"
-  | Srv_reply _ -> "srv_reply"
-  | Audit_window _ -> "audit"
   | Message { tag; _ } -> tag
-  | Decision_made _ -> "decision"
-  | Decision_outcome _ -> "outcome"
-  | Conn_opened _ -> "conn_open"
-  | Conn_closed _ -> "conn_close"
-  | Lb_assigned _ -> "lb_assign"
-  | Shard_enqueued _ -> "shard_enq"
+  | ev ->
+      let f = Domain.DLS.get frame_key in
+      ev_name (encode f ev) f
+
+let arm = function Some v -> Printf.sprintf "%.2f" v | None -> "-"
 
 let detail r =
   match r.event with
@@ -209,47 +530,17 @@ let detail r =
       Printf.sprintf "seq=%d len=%d%s%s" seq len
         (if push then " PSH" else "")
         (if retx then " RETX" else "")
-  | Segment_received { seq; fresh } -> Printf.sprintf "seq=%d fresh=%d" seq fresh
-  | Ack_received { acked; una } -> Printf.sprintf "acked=%d una=%d" acked una
-  | Nagle_hold { chunk; in_flight } ->
-      Printf.sprintf "chunk=%d in_flight=%d" chunk in_flight
-  | Nagle_toggle { enabled } -> Printf.sprintf "enabled=%b" enabled
-  | Cork_hold { chunk } -> Printf.sprintf "chunk=%d" chunk
-  | Delack_fire { pending } | Delack_cancel { pending } ->
-      Printf.sprintf "pending=%d" pending
-  | Fin_received { rcv_nxt } -> Printf.sprintf "rcv_nxt=%d" rcv_nxt
-  | Segment_dropped { seq; len; reason } ->
-      Printf.sprintf "seq=%d len=%d reason=%s" seq len reason
   | Segment_reordered { seq; delay_us } ->
       Printf.sprintf "seq=%d delay_us=%.1f" seq delay_us
-  | Segment_duplicated { seq } -> Printf.sprintf "seq=%d" seq
-  | Segment_challenged { seq; kind } -> Printf.sprintf "seq=%d kind=%s" seq kind
-  | Probe_sent { seq; backoff } -> Printf.sprintf "seq=%d backoff=%d" seq backoff
-  | Share_corrupted { seq } -> Printf.sprintf "seq=%d" seq
-  | Share_rejected { reason } -> Printf.sprintf "reason=%s" reason
-  | Share_ingested { unacked_total; unread_total; ackdelay_total } ->
-      Printf.sprintf "unacked=%d unread=%d ackdelay=%d" unacked_total
-        unread_total ackdelay_total
   | Estimate_computed { latency_us; throughput; window_us } ->
-      Printf.sprintf "latency_us=%s tput=%.1f window_us=%.1f"
-        (match latency_us with Some l -> Printf.sprintf "%.2f" l | None -> "-")
-        throughput window_us
-  | Request_done { latency_us } -> Printf.sprintf "latency_us=%.2f" latency_us
-  | Req_issued { req; off; len } -> Printf.sprintf "req=%d off=%d len=%d" req off len
-  | Req_sent { req } -> Printf.sprintf "req=%d" req
-  | Req_complete { req } -> Printf.sprintf "req=%d" req
-  | Srv_start { req } -> Printf.sprintf "req=%d" req
-  | Srv_reply { req; off; len } -> Printf.sprintf "req=%d off=%d len=%d" req off len
+      Printf.sprintf "latency_us=%s tput=%.1f window_us=%.1f" (arm latency_us) throughput
+        window_us
   | Audit_window { queue; l_avg; lambda_per_s; w_us; rel_err } ->
       Printf.sprintf "queue=%s L=%.3f lambda=%.1f/s W=%.2fus err=%.4f" queue l_avg
         lambda_per_s w_us rel_err
   | Message { detail; _ } -> detail
   | Decision_made { decision; on_us; off_us; mode; action; reason; frozen; stale_us }
     ->
-      let arm = function
-        | Some v -> Printf.sprintf "%.2f" v
-        | None -> "-"
-      in
       Printf.sprintf "#%d on=%s off=%s mode=%s action=%s reason=%s%s stale_us=%.1f"
         decision (arm on_us) (arm off_us) mode action reason
         (if frozen then " FROZEN" else "")
@@ -258,12 +549,19 @@ let detail r =
       Printf.sprintf "#%d mean_us=%.2f p99_us=%.2f n=%d" decision mean_us p99_us n
   | Conn_opened { gen; inherited } ->
       Printf.sprintf "gen=%d%s" gen (if inherited then " INHERITED" else "")
-  | Conn_closed { gen; completed } ->
-      Printf.sprintf "gen=%d completed=%d" gen completed
-  | Lb_assigned { shard; policy } ->
-      Printf.sprintf "shard=%d policy=%s" shard policy
-  | Shard_enqueued { shard; depth } ->
-      Printf.sprintf "shard=%d depth=%d" shard depth
+  | ev ->
+      (* The rest render as [key=value] in JSON key order. *)
+      let f = Domain.DLS.get frame_key in
+      let d = encode f ev in
+      let value i =
+        match d.fields.(i) with
+        | I64 k | Slot k -> Printf.sprintf "%s=%d" k f.ints.(i)
+        | F64 k -> Printf.sprintf "%s=%.2f" k f.floats.(i)
+        | Opt_f64 k -> Printf.sprintf "%s=%s" k (arm (opt f i))
+        | Str k -> Printf.sprintf "%s=%s" k f.strs.(i)
+        | Flag k | Retag k -> Printf.sprintf "%s=%b" k (f.ints.(i) <> 0)
+      in
+      String.concat " " (List.map value (Array.to_list d.json))
 
 let find t ~tag:wanted =
   List.rev
@@ -307,164 +605,28 @@ let add_str b key v =
   json_escape b v;
   Buffer.add_char b '"'
 
-let add_int b key v =
-  Buffer.add_string b (Printf.sprintf ",\"%s\":%d" key v)
-
-let add_bool b key v =
-  Buffer.add_string b (Printf.sprintf ",\"%s\":%b" key v)
-
 (* %.17g round-trips every finite float through [float_of_string]. *)
-let add_float b key v =
-  if Float.is_finite v then
-    Buffer.add_string b (Printf.sprintf ",\"%s\":%.17g" key v)
-  else Buffer.add_string b (Printf.sprintf ",\"%s\":null" key)
+let json_float v = if Float.is_finite v then Printf.sprintf "%.17g" v else "null"
 
 let record_to_json ?run r =
+  let f = Domain.DLS.get frame_key in
+  let d = encode f r.event in
   let b = Buffer.create 128 in
   Buffer.add_string b (Printf.sprintf "{\"at_ns\":%d" (Time.to_ns r.at));
   (match run with Some run -> add_str b "run" run | None -> ());
   add_str b "conn" r.id;
-  (match r.event with
-  | Segment_sent { seq; len; push; retx } ->
-      add_str b "ev" (if retx then "retx" else "tx");
-      add_int b "seq" seq;
-      add_int b "len" len;
-      add_bool b "push" push
-  | Segment_received { seq; fresh } ->
-      add_str b "ev" "rx";
-      add_int b "seq" seq;
-      add_int b "fresh" fresh
-  | Ack_received { acked; una } ->
-      add_str b "ev" "ack";
-      add_int b "acked" acked;
-      add_int b "una" una
-  | Nagle_hold { chunk; in_flight } ->
-      add_str b "ev" "hold";
-      add_int b "chunk" chunk;
-      add_int b "in_flight" in_flight
-  | Nagle_toggle { enabled } ->
-      add_str b "ev" "toggle";
-      add_bool b "enabled" enabled
-  | Cork_hold { chunk } ->
-      add_str b "ev" "cork";
-      add_int b "chunk" chunk
-  | Delack_fire { pending } ->
-      add_str b "ev" "delack_fire";
-      add_int b "pending" pending
-  | Delack_cancel { pending } ->
-      add_str b "ev" "delack_cancel";
-      add_int b "pending" pending
-  | Fin_received { rcv_nxt } ->
-      add_str b "ev" "fin";
-      add_int b "rcv_nxt" rcv_nxt
-  | Segment_dropped { seq; len; reason } ->
-      add_str b "ev" "drop";
-      add_int b "seq" seq;
-      add_int b "len" len;
-      add_str b "reason" reason
-  | Segment_reordered { seq; delay_us } ->
-      add_str b "ev" "reorder";
-      add_int b "seq" seq;
-      add_float b "delay_us" delay_us
-  | Segment_duplicated { seq } ->
-      add_str b "ev" "dup";
-      add_int b "seq" seq
-  | Segment_challenged { seq; kind } ->
-      add_str b "ev" "challenge";
-      add_int b "seq" seq;
-      add_str b "kind" kind
-  | Probe_sent { seq; backoff } ->
-      add_str b "ev" "probe";
-      add_int b "seq" seq;
-      add_int b "backoff" backoff
-  | Share_corrupted { seq } ->
-      add_str b "ev" "share_corrupt";
-      add_int b "seq" seq
-  | Share_rejected { reason } ->
-      add_str b "ev" "share_reject";
-      add_str b "reason" reason
-  | Share_ingested { unacked_total; unread_total; ackdelay_total } ->
-      add_str b "ev" "share";
-      add_int b "unacked" unacked_total;
-      add_int b "unread" unread_total;
-      add_int b "ackdelay" ackdelay_total
-  | Estimate_computed { latency_us; throughput; window_us } ->
-      add_str b "ev" "estimate";
-      (match latency_us with
-      | Some l -> add_float b "latency_us" l
-      | None -> Buffer.add_string b ",\"latency_us\":null");
-      add_float b "throughput" throughput;
-      add_float b "window_us" window_us
-  | Request_done { latency_us } ->
-      add_str b "ev" "request";
-      add_float b "latency_us" latency_us
-  | Req_issued { req; off; len } ->
-      add_str b "ev" "req_issued";
-      add_int b "req" req;
-      add_int b "off" off;
-      add_int b "len" len
-  | Req_sent { req } ->
-      add_str b "ev" "req_sent";
-      add_int b "req" req
-  | Req_complete { req } ->
-      add_str b "ev" "req_complete";
-      add_int b "req" req
-  | Srv_start { req } ->
-      add_str b "ev" "srv_start";
-      add_int b "req" req
-  | Srv_reply { req; off; len } ->
-      add_str b "ev" "srv_reply";
-      add_int b "req" req;
-      add_int b "off" off;
-      add_int b "len" len
-  | Audit_window { queue; l_avg; lambda_per_s; w_us; rel_err } ->
-      add_str b "ev" "audit";
-      add_str b "queue" queue;
-      add_float b "l" l_avg;
-      add_float b "lambda" lambda_per_s;
-      add_float b "w_us" w_us;
-      add_float b "rel_err" rel_err
-  | Message { tag; detail } ->
-      add_str b "ev" "msg";
-      add_str b "tag" tag;
-      add_str b "detail" detail
-  | Decision_made { decision; on_us; off_us; mode; action; reason; frozen; stale_us }
-    ->
-      add_str b "ev" "decision";
-      add_int b "decision" decision;
-      (match on_us with
-      | Some v -> add_float b "on_us" v
-      | None -> Buffer.add_string b ",\"on_us\":null");
-      (match off_us with
-      | Some v -> add_float b "off_us" v
-      | None -> Buffer.add_string b ",\"off_us\":null");
-      add_str b "mode" mode;
-      add_str b "action" action;
-      add_str b "reason" reason;
-      add_bool b "frozen" frozen;
-      add_float b "stale_us" stale_us
-  | Decision_outcome { decision; mean_us; p99_us; n } ->
-      add_str b "ev" "outcome";
-      add_int b "decision" decision;
-      add_float b "mean_us" mean_us;
-      add_float b "p99_us" p99_us;
-      add_int b "n" n
-  | Conn_opened { gen; inherited } ->
-      add_str b "ev" "conn_open";
-      add_int b "gen" gen;
-      add_bool b "inherited" inherited
-  | Conn_closed { gen; completed } ->
-      add_str b "ev" "conn_close";
-      add_int b "gen" gen;
-      add_int b "completed" completed
-  | Lb_assigned { shard; policy } ->
-      add_str b "ev" "lb_assign";
-      add_int b "shard" shard;
-      add_str b "policy" policy
-  | Shard_enqueued { shard; depth } ->
-      add_str b "ev" "shard_enq";
-      add_int b "shard" shard;
-      add_int b "depth" depth);
+  add_str b "ev" (ev_name d f);
+  let add k v = Buffer.add_string b (Printf.sprintf ",\"%s\":%s" k v) in
+  Array.iter
+    (fun i ->
+      match d.fields.(i) with
+      | I64 k | Slot k -> add k (string_of_int f.ints.(i))
+      | F64 k -> add k (json_float f.floats.(i))
+      | Opt_f64 k -> add k (if f.ints.(i) <> 0 then json_float f.floats.(i) else "null")
+      | Str k -> add_str b k f.strs.(i)
+      | Flag k -> add k (string_of_bool (f.ints.(i) <> 0))
+      | Retag _ -> ())
+    d.json;
   Buffer.add_char b '}';
   Buffer.contents b
 
@@ -473,9 +635,10 @@ let record_to_json ?run r =
    Only what the exporter above (and [Metrics.sample_to_json]) produces:
    one object per line, scalar values (string / number / bool / null),
    no nesting.  Hand-rolled because the repo deliberately has no JSON
-   dependency. *)
+   dependency.  Numbers keep their lexeme so that int fields are read
+   as ints, not through a float. *)
 
-type json_value = Jstr of string | Jnum of float | Jbool of bool | Jnull
+type json_value = Jstr of string | Jnum of string | Jbool of bool | Jnull
 
 exception Parse_error of string
 
@@ -484,14 +647,12 @@ let parse_flat_object line =
   let pos = ref 0 in
   let err msg = raise (Parse_error msg) in
   let peek () = if !pos < n then Some line.[!pos] else None in
-  let skip_ws () =
-    while
-      !pos < n
-      && (match line.[!pos] with ' ' | '\t' | '\r' | '\n' -> true | _ -> false)
-    do
+  let skip_while p =
+    while !pos < n && p line.[!pos] do
       incr pos
     done
   in
+  let skip_ws () = skip_while (function ' ' | '\t' | '\r' | '\n' -> true | _ -> false) in
   let expect c =
     if !pos < n && line.[!pos] = c then incr pos
     else err (Printf.sprintf "expected '%c' at offset %d" c !pos)
@@ -508,14 +669,6 @@ let parse_flat_object line =
             incr pos;
             if !pos >= n then err "truncated escape";
             (match line.[!pos] with
-            | '"' -> Buffer.add_char b '"'
-            | '\\' -> Buffer.add_char b '\\'
-            | '/' -> Buffer.add_char b '/'
-            | 'n' -> Buffer.add_char b '\n'
-            | 'r' -> Buffer.add_char b '\r'
-            | 't' -> Buffer.add_char b '\t'
-            | 'b' -> Buffer.add_char b '\b'
-            | 'f' -> Buffer.add_char b '\012'
             | 'u' ->
                 if !pos + 4 >= n then err "truncated \\u escape";
                 let hex = String.sub line (!pos + 1) 4 in
@@ -528,7 +681,10 @@ let parse_flat_object line =
                    exporter; decode others as '?' rather than UTF-8. *)
                 if code < 0x80 then Buffer.add_char b (Char.chr code)
                 else Buffer.add_char b '?'
-            | c -> err (Printf.sprintf "bad escape '\\%c'" c));
+            | c -> (
+                match String.index_opt "\"\\/nrtbf" c with
+                | Some i -> Buffer.add_char b "\"\\/\n\r\t\b\012".[i]
+                | None -> err (Printf.sprintf "bad escape '\\%c'" c)));
             incr pos;
             go ()
         | c ->
@@ -539,42 +695,30 @@ let parse_flat_object line =
     go ();
     Buffer.contents b
   in
+  let literal word v =
+    let k = String.length word in
+    if !pos + k <= n && String.sub line !pos k = word then begin
+      pos := !pos + k;
+      v
+    end
+    else err "bad literal"
+  in
   let parse_value () =
     skip_ws ();
     match peek () with
     | Some '"' -> Jstr (parse_string ())
-    | Some 't' ->
-        if !pos + 4 <= n && String.sub line !pos 4 = "true" then begin
-          pos := !pos + 4;
-          Jbool true
-        end
-        else err "bad literal"
-    | Some 'f' ->
-        if !pos + 5 <= n && String.sub line !pos 5 = "false" then begin
-          pos := !pos + 5;
-          Jbool false
-        end
-        else err "bad literal"
-    | Some 'n' ->
-        if !pos + 4 <= n && String.sub line !pos 4 = "null" then begin
-          pos := !pos + 4;
-          Jnull
-        end
-        else err "bad literal"
+    | Some 't' -> literal "true" (Jbool true)
+    | Some 'f' -> literal "false" (Jbool false)
+    | Some 'n' -> literal "null" Jnull
     | Some ('-' | '0' .. '9') ->
         let start = !pos in
-        while
-          !pos < n
-          &&
-          match line.[!pos] with
+        skip_while (function
           | '-' | '+' | '.' | 'e' | 'E' | '0' .. '9' -> true
-          | _ -> false
-        do
-          incr pos
-        done;
+          | _ -> false);
         let s = String.sub line start (!pos - start) in
-        (try Jnum (float_of_string s)
-         with _ -> err (Printf.sprintf "bad number %S" s))
+        if Option.is_none (float_of_string_opt s) then
+          err (Printf.sprintf "bad number %S" s);
+        Jnum s
     | Some c -> err (Printf.sprintf "unexpected '%c' at offset %d" c !pos)
     | None -> err "unexpected end of input"
   in
@@ -608,193 +752,48 @@ let parse_flat_object line =
 
 let field fields key = List.assoc_opt key fields
 
-let num fields key =
-  match field fields key with
-  | Some (Jnum v) -> Ok v
-  | Some _ -> Error (Printf.sprintf "field %S is not a number" key)
-  | None -> Error (Printf.sprintf "missing field %S" key)
+(* The value of [key] as read by [conv], which names its type [what]. *)
+let get fields (what, conv) key =
+  match Option.map conv (field fields key) with
+  | Some (Some x) -> x
+  | Some None -> raise (Parse_error (Printf.sprintf "field %S is not %s" key what))
+  | None -> raise (Parse_error (Printf.sprintf "missing field %S" key))
 
-let int_field fields key = Result.map int_of_float (num fields key)
-
-let str fields key =
-  match field fields key with
-  | Some (Jstr v) -> Ok v
-  | Some _ -> Error (Printf.sprintf "field %S is not a string" key)
-  | None -> Error (Printf.sprintf "missing field %S" key)
-
-let bool_field fields key =
-  match field fields key with
-  | Some (Jbool v) -> Ok v
-  | Some _ -> Error (Printf.sprintf "field %S is not a bool" key)
-  | None -> Error (Printf.sprintf "missing field %S" key)
-
-let ( let* ) = Result.bind
+let int_v = ("an integer", function Jnum s -> int_of_string_opt s | _ -> None)
+let float_v = ("a number", function Jnum s -> float_of_string_opt s | _ -> None)
+let str_v = ("a string", function Jstr s -> Some s | _ -> None)
+let bool_v = ("a bool", function Jbool b -> Some b | _ -> None)
 
 (* Raised (internally) by the event decoder when the ["ev"] tag has no
-   case: the line is well-formed JSONL from a newer writer, not
+   descriptor: the line is well-formed JSONL from a newer writer, not
    garbage, and forward-compat readers may skip it. *)
 exception Unknown_ev of string
 
 let record_of_json_ext line =
-  let* fields = parse_flat_object line in
-  let* at_ns = int_field fields "at_ns" in
-  let* ev = str fields "ev" in
-  let run = match field fields "run" with Some (Jstr r) -> Some r | _ -> None in
-  let id = match field fields "conn" with Some (Jstr c) -> c | _ -> "" in
-  let* event =
-    match ev with
-    | "tx" | "retx" ->
-        let* seq = int_field fields "seq" in
-        let* len = int_field fields "len" in
-        let* push = bool_field fields "push" in
-        Ok (Segment_sent { seq; len; push; retx = ev = "retx" })
-    | "rx" ->
-        let* seq = int_field fields "seq" in
-        let* fresh = int_field fields "fresh" in
-        Ok (Segment_received { seq; fresh })
-    | "ack" ->
-        let* acked = int_field fields "acked" in
-        let* una = int_field fields "una" in
-        Ok (Ack_received { acked; una })
-    | "hold" ->
-        let* chunk = int_field fields "chunk" in
-        let* in_flight = int_field fields "in_flight" in
-        Ok (Nagle_hold { chunk; in_flight })
-    | "toggle" ->
-        let* enabled = bool_field fields "enabled" in
-        Ok (Nagle_toggle { enabled })
-    | "cork" ->
-        let* chunk = int_field fields "chunk" in
-        Ok (Cork_hold { chunk })
-    | "delack_fire" ->
-        let* pending = int_field fields "pending" in
-        Ok (Delack_fire { pending })
-    | "delack_cancel" ->
-        let* pending = int_field fields "pending" in
-        Ok (Delack_cancel { pending })
-    | "fin" ->
-        let* rcv_nxt = int_field fields "rcv_nxt" in
-        Ok (Fin_received { rcv_nxt })
-    | "drop" ->
-        let* seq = int_field fields "seq" in
-        let* len = int_field fields "len" in
-        let* reason = str fields "reason" in
-        Ok (Segment_dropped { seq; len; reason })
-    | "reorder" ->
-        let* seq = int_field fields "seq" in
-        let* delay_us = num fields "delay_us" in
-        Ok (Segment_reordered { seq; delay_us })
-    | "dup" ->
-        let* seq = int_field fields "seq" in
-        Ok (Segment_duplicated { seq })
-    | "challenge" ->
-        let* seq = int_field fields "seq" in
-        let* kind = str fields "kind" in
-        Ok (Segment_challenged { seq; kind })
-    | "probe" ->
-        let* seq = int_field fields "seq" in
-        let* backoff = int_field fields "backoff" in
-        Ok (Probe_sent { seq; backoff })
-    | "share_corrupt" ->
-        let* seq = int_field fields "seq" in
-        Ok (Share_corrupted { seq })
-    | "share_reject" ->
-        let* reason = str fields "reason" in
-        Ok (Share_rejected { reason })
-    | "share" ->
-        let* unacked_total = int_field fields "unacked" in
-        let* unread_total = int_field fields "unread" in
-        let* ackdelay_total = int_field fields "ackdelay" in
-        Ok (Share_ingested { unacked_total; unread_total; ackdelay_total })
-    | "estimate" ->
-        let latency_us =
-          match field fields "latency_us" with
-          | Some (Jnum v) -> Some v
-          | _ -> None
-        in
-        let* throughput = num fields "throughput" in
-        let* window_us = num fields "window_us" in
-        Ok (Estimate_computed { latency_us; throughput; window_us })
-    | "request" ->
-        let* latency_us = num fields "latency_us" in
-        Ok (Request_done { latency_us })
-    | "req_issued" ->
-        let* req = int_field fields "req" in
-        let* off = int_field fields "off" in
-        let* len = int_field fields "len" in
-        Ok (Req_issued { req; off; len })
-    | "req_sent" ->
-        let* req = int_field fields "req" in
-        Ok (Req_sent { req })
-    | "req_complete" ->
-        let* req = int_field fields "req" in
-        Ok (Req_complete { req })
-    | "srv_start" ->
-        let* req = int_field fields "req" in
-        Ok (Srv_start { req })
-    | "srv_reply" ->
-        let* req = int_field fields "req" in
-        let* off = int_field fields "off" in
-        let* len = int_field fields "len" in
-        Ok (Srv_reply { req; off; len })
-    | "audit" ->
-        let* queue = str fields "queue" in
-        let* l_avg = num fields "l" in
-        let* lambda_per_s = num fields "lambda" in
-        let* w_us = num fields "w_us" in
-        let* rel_err = num fields "rel_err" in
-        Ok (Audit_window { queue; l_avg; lambda_per_s; w_us; rel_err })
-    | "msg" ->
-        let* tag = str fields "tag" in
-        let* detail = str fields "detail" in
-        Ok (Message { tag; detail })
-    | "decision" ->
-        let* decision = int_field fields "decision" in
-        let opt key =
-          match field fields key with Some (Jnum v) -> Some v | _ -> None
-        in
-        let* mode = str fields "mode" in
-        let* action = str fields "action" in
-        let* reason = str fields "reason" in
-        let* frozen = bool_field fields "frozen" in
-        let* stale_us = num fields "stale_us" in
-        Ok
-          (Decision_made
-             {
-               decision;
-               on_us = opt "on_us";
-               off_us = opt "off_us";
-               mode;
-               action;
-               reason;
-               frozen;
-               stale_us;
-             })
-    | "outcome" ->
-        let* decision = int_field fields "decision" in
-        let* mean_us = num fields "mean_us" in
-        let* p99_us = num fields "p99_us" in
-        let* n = int_field fields "n" in
-        Ok (Decision_outcome { decision; mean_us; p99_us; n })
-    | "conn_open" ->
-        let* gen = int_field fields "gen" in
-        let* inherited = bool_field fields "inherited" in
-        Ok (Conn_opened { gen; inherited })
-    | "conn_close" ->
-        let* gen = int_field fields "gen" in
-        let* completed = int_field fields "completed" in
-        Ok (Conn_closed { gen; completed })
-    | "lb_assign" ->
-        let* shard = int_field fields "shard" in
-        let* policy = str fields "policy" in
-        Ok (Lb_assigned { shard; policy })
-    | "shard_enq" ->
-        let* shard = int_field fields "shard" in
-        let* depth = int_field fields "depth" in
-        Ok (Shard_enqueued { shard; depth })
-    | other -> raise (Unknown_ev other)
-  in
-  Ok (run, { at = at_ns; id; event })
+  Result.bind (parse_flat_object line) (fun fields ->
+      let opt (_, conv) key = Option.bind (field fields key) conv in
+      try
+        let at = get fields int_v "at_ns" in
+        let ev = get fields str_v "ev" in
+        let run = opt str_v "run" in
+        let id = Option.value (opt str_v "conn") ~default:"" in
+        let d = try Hashtbl.find by_ev ev with Not_found -> raise (Unknown_ev ev) in
+        let f = Domain.DLS.get frame_key in
+        Array.iter
+          (fun i ->
+            match d.fields.(i) with
+            | I64 k | Slot k -> f.ints.(i) <- get fields int_v k
+            | F64 k -> f.floats.(i) <- get fields float_v k
+            | Str k -> f.strs.(i) <- get fields str_v k
+            | Flag k -> f.ints.(i) <- Bool.to_int (get fields bool_v k)
+            | Retag k -> f.ints.(i) <- Bool.to_int (ev = k)
+            | Opt_f64 k ->
+                let v = opt float_v k in
+                f.ints.(i) <- Bool.to_int (Option.is_some v);
+                f.floats.(i) <- Option.value v ~default:0.0)
+          d.json;
+        Ok (run, { at; id; event = d.decode f })
+      with Parse_error msg -> Error msg)
 
 let record_of_json line =
   match record_of_json_ext line with
@@ -815,30 +814,23 @@ let fold_jsonl ?unknown path ~init ~f =
   match open_in path with
   | exception Sys_error msg -> Error msg
   | ic ->
-      let acc = ref init in
-      let line_no = ref 0 in
-      let err = ref None in
-      (try
-         while !err = None do
-           let line = input_line ic in
-           incr line_no;
-           if String.trim line <> "" then
-             match record_of_json_ext line with
-             | Ok (run, r) -> acc := f !acc run r
-             | exception Unknown_ev ev -> (
-                 match unknown with
-                 | Some cb -> cb ev
-                 | None ->
-                     err :=
-                       Some
-                         (Printf.sprintf "%s: line %d: unknown event type %S"
-                            path !line_no ev))
-             | Error msg ->
-                 err := Some (Printf.sprintf "%s: line %d: %s" path !line_no msg)
-         done
-       with End_of_file -> ());
-      close_in ic;
-      match !err with Some msg -> Error msg | None -> Ok !acc
+      let fail line_no msg = Error (Printf.sprintf "%s: line %d: %s" path line_no msg) in
+      let rec go line_no acc =
+        match In_channel.input_line ic with
+        | None -> Ok acc
+        | Some line when String.trim line = "" -> go (line_no + 1) acc
+        | Some line -> (
+            match record_of_json_ext line with
+            | Ok (run, r) -> go (line_no + 1) (f acc run r)
+            | Error msg -> fail line_no msg
+            | exception Unknown_ev ev -> (
+                match unknown with
+                | Some cb ->
+                    cb ev;
+                    go (line_no + 1) acc
+                | None -> fail line_no (Printf.sprintf "unknown event type %S" ev)))
+      in
+      Fun.protect ~finally:(fun () -> close_in ic) (fun () -> go 1 init)
 
 let load_jsonl path =
   match
@@ -856,7 +848,7 @@ let load_jsonl path =
      header   magic "e2ebtrc1" (8B) | version u16 | header_len u16
               | reserved u32                                   = 16 B
      records  kind u8 | flags u8 | id_ref u16 | at_ns i64
-              | payload (fixed width per kind, see below)
+              | payload (the descriptor's fields, in order)
               | run_ref u16 when flags bit 7
      trailer  name table then string table, each entry
               u32 byte length + raw bytes
@@ -871,13 +863,13 @@ let load_jsonl path =
    memory proportional to the number of distinct strings only, and a
    reader loads the tables from the footer before scanning records.
 
-   Flags: bit 0 and bit 1 carry kind-specific booleans (PSH / retx /
-   Nagle-enabled / latency-present), bit 6 ("wide") widens every
-   u32-slot payload field of the record to i64 when any value
-   overflows 32 bits, bit 7 marks a trailing run-label reference.
-   i64 fields (stream offsets, cumulative totals, timestamps) and f64
-   fields (IEEE bits) always round-trip OCaml ints and floats
-   exactly. *)
+   Flags: bits 0-5 carry the descriptor's flag-bit fields in field
+   order (PSH / retx, Nagle-enabled, latency-present, ...), bit 6
+   ("wide") widens every u32-slot payload field of the record to i64
+   when any value overflows 32 bits, bit 7 marks a trailing run-label
+   reference.  i64 fields (stream offsets, cumulative totals,
+   timestamps) and f64 fields (IEEE bits) always round-trip OCaml ints
+   and floats exactly. *)
 
 module Binary = struct
   let magic = "e2ebtrc1"
@@ -897,283 +889,90 @@ module Binary = struct
   let min_read_version = 1
   let header_len = 16
   let footer_len = 32
-
-  let flag_b0 = 0x01
-  let flag_b1 = 0x02
-  let flag_b2 = 0x04
   let flag_wide = 0x40
   let flag_run = 0x80
-
-  let kind_of_event = function
-    | Segment_sent _ -> 0
-    | Segment_received _ -> 1
-    | Ack_received _ -> 2
-    | Nagle_hold _ -> 3
-    | Nagle_toggle _ -> 4
-    | Cork_hold _ -> 5
-    | Delack_fire _ -> 6
-    | Delack_cancel _ -> 7
-    | Fin_received _ -> 8
-    | Segment_dropped _ -> 9
-    | Segment_reordered _ -> 10
-    | Segment_duplicated _ -> 11
-    | Share_corrupted _ -> 12
-    | Share_rejected _ -> 13
-    | Share_ingested _ -> 14
-    | Estimate_computed _ -> 15
-    | Request_done _ -> 16
-    | Req_issued _ -> 17
-    | Req_sent _ -> 18
-    | Req_complete _ -> 19
-    | Srv_start _ -> 20
-    | Srv_reply _ -> 21
-    | Audit_window _ -> 22
-    | Message _ -> 23
-    | Segment_challenged _ -> 24
-    | Probe_sent _ -> 25
-    | Decision_made _ -> 26
-    | Decision_outcome _ -> 27
-    | Conn_opened _ -> 28
-    | Conn_closed _ -> 29
-    | Lb_assigned _ -> 30
-    | Shard_enqueued _ -> 31
-
-  (* Payload size in bytes for a (kind, wide) pair; the prefix (4B) and
-     the optional run ref (2B) are accounted for separately.  [num] is
-     the width of a u32-slot field under the record's wide flag. *)
-  let payload_len kind ~wide =
-    let num = if wide then 8 else 4 in
-    match kind with
-    | 0 | 1 | 2 -> 8 + num (* seq/una i64 + len/fresh/acked *)
-    | 3 -> 2 * num (* chunk + in_flight *)
-    | 4 -> 0 (* toggle: flags only *)
-    | 5 | 6 | 7 -> num (* chunk / pending *)
-    | 8 -> 8 (* rcv_nxt i64 *)
-    | 9 -> 8 + num + 4 (* seq + len + reason ref *)
-    | 10 -> 16 (* seq + delay f64 *)
-    | 11 | 12 -> 8 (* seq i64 *)
-    | 13 -> 4 (* reason ref *)
-    | 14 -> 3 * num (* share totals *)
-    | 15 -> 24 (* latency + throughput + window f64 *)
-    | 16 -> 8 (* latency f64 *)
-    | 17 | 21 -> num + 8 + num (* req + off i64 + len *)
-    | 18 | 19 | 20 -> num (* req *)
-    | 22 -> 4 + 32 (* queue ref + 4 f64 *)
-    | 23 -> 8 (* tag ref + detail ref *)
-    | 24 -> 8 + 4 (* seq i64 + kind ref *)
-    | 25 -> 8 + num (* seq i64 + backoff *)
-    | 26 -> num + 16 + 12 + 8 (* decision + on/off f64 + 3 refs + stale f64 *)
-    | 27 -> (2 * num) + 16 (* decision + n + mean/p99 f64 *)
-    | 28 -> num (* gen; inherited in flag b0 *)
-    | 29 -> 2 * num (* gen + completed *)
-    | 30 -> num + 4 (* shard + policy ref *)
-    | 31 -> 2 * num (* shard + depth *)
-    | k -> invalid_arg (Printf.sprintf "Trace.Binary: unknown kind %d" k)
-
   let u32_ok v = v >= 0 && v <= 0xFFFF_FFFF
+
+  (* An interning table: [Hashtbl.find] rather than [find_opt], so that
+     a hit does not allocate. *)
+  type table = { ids : (string, int) Hashtbl.t; mutable rev : string list; cap : int }
+
+  let intern t s =
+    match Hashtbl.find t.ids s with
+    | i -> i
+    | exception Not_found ->
+        let i = Hashtbl.length t.ids in
+        (* only the name table has a cap *)
+        if i >= t.cap then
+          failwith "Trace.Binary: more than 65536 distinct ids/run labels";
+        Hashtbl.add t.ids s i;
+        t.rev <- s :: t.rev;
+        i
 
   type writer = {
     oc : out_channel;
-    names : (string, int) Hashtbl.t;
-    mutable names_rev : string list;
-    mutable n_names : int;
-    strs : (string, int) Hashtbl.t;
-    mutable strs_rev : string list;
-    mutable n_strs : int;
-    buf : Buffer.t;
+    names : table;
+    strs : table;
+    buf : Bytes.t;  (** one record: prefix, payload and run ref *)
+    frame : frame;
     mutable n_records : int;
     mutable finished : bool;
   }
 
   let writer oc =
-    let b = Buffer.create 64 in
-    Buffer.add_string b magic;
-    Buffer.add_uint16_le b version;
-    Buffer.add_uint16_le b header_len;
-    Buffer.add_int32_le b 0l;
-    Buffer.output_buffer oc b;
+    let b = Bytes.make (12 + (8 * max_fields) + 2) '\000' in
+    Bytes.blit_string magic 0 b 0 8;
+    Bytes.set_uint16_le b 8 version;
+    Bytes.set_uint16_le b 10 header_len;
+    output oc b 0 header_len;
     {
       oc;
-      names = Hashtbl.create 64;
-      names_rev = [];
-      n_names = 0;
-      strs = Hashtbl.create 64;
-      strs_rev = [];
-      n_strs = 0;
+      names = { ids = Hashtbl.create 64; rev = []; cap = 0x10000 };
+      strs = { ids = Hashtbl.create 64; rev = []; cap = max_int };
       buf = b;
+      frame = new_frame ();
       n_records = 0;
       finished = false;
     }
 
-  let intern_name w s =
-    match Hashtbl.find_opt w.names s with
-    | Some i -> i
-    | None ->
-        if w.n_names > 0xFFFF then
-          failwith "Trace.Binary: more than 65536 distinct ids/run labels";
-        let i = w.n_names in
-        Hashtbl.add w.names s i;
-        w.names_rev <- s :: w.names_rev;
-        w.n_names <- i + 1;
-        i
-
-  let intern_str w s =
-    match Hashtbl.find_opt w.strs s with
-    | Some i -> i
-    | None ->
-        let i = w.n_strs in
-        Hashtbl.add w.strs s i;
-        w.strs_rev <- s :: w.strs_rev;
-        w.n_strs <- i + 1;
-        i
-
-  let add_u32 b v = Buffer.add_int32_le b (Int32.of_int v)
-  let add_i64 b v = Buffer.add_int64_le b (Int64.of_int v)
-  let add_f64 b v = Buffer.add_int64_le b (Int64.bits_of_float v)
-
-  (* A u32-slot field: 4 bytes normally, widened to i64 when the
-     record's wide flag is set. *)
-  let add_num b ~wide v = if wide then add_i64 b v else add_u32 b v
+  (* Write [d]'s payload and flag bits from [f] into the record; the
+     record length so far, or -1 when a slot needs the wide encoding. *)
+  let payload w f d ~wide =
+    let b = w.buf and offs = if wide then d.wide else d.narrow in
+    let fits = ref true and flags = ref 0 in
+    for i = 0 to Array.length d.fields - 1 do
+      let o = 12 + offs.(i) and v = f.ints.(i) in
+      match d.fields.(i) with
+      | Slot _ when not wide ->
+          if u32_ok v then Bytes.set_int32_le b o (Int32.of_int v) else fits := false
+      | I64 _ | Slot _ -> Bytes.set_int64_le b o (Int64.of_int v)
+      | F64 _ -> Bytes.set_int64_le b o (Int64.bits_of_float f.floats.(i))
+      | Opt_f64 _ ->
+          if v <> 0 then flags := !flags lor d.bits.(i);
+          Bytes.set_int64_le b o (Int64.bits_of_float f.floats.(i))
+      | Str _ -> Bytes.set_int32_le b o (Int32.of_int (intern w.strs f.strs.(i)))
+      | Flag _ | Retag _ -> if v <> 0 then flags := !flags lor d.bits.(i)
+    done;
+    Bytes.set_uint8 b 1 !flags;
+    if !fits then 12 + offs.(Array.length d.fields) else -1
 
   let write w ?run r =
     if w.finished then invalid_arg "Trace.Binary.write: writer is finished";
-    let b = w.buf in
-    Buffer.clear b;
-    let kind = kind_of_event r.event in
-    let bools, narrow =
-      match r.event with
-      | Segment_sent { len; push; retx; _ } ->
-          ( (if push then flag_b0 else 0) lor (if retx then flag_b1 else 0),
-            u32_ok len )
-      | Segment_received { fresh; _ } -> (0, u32_ok fresh)
-      | Ack_received { acked; _ } -> (0, u32_ok acked)
-      | Nagle_hold { chunk; in_flight } -> (0, u32_ok chunk && u32_ok in_flight)
-      | Nagle_toggle { enabled } -> ((if enabled then flag_b0 else 0), true)
-      | Cork_hold { chunk } -> (0, u32_ok chunk)
-      | Delack_fire { pending } | Delack_cancel { pending } ->
-          (0, u32_ok pending)
-      | Segment_dropped { len; _ } -> (0, u32_ok len)
-      | Share_ingested { unacked_total; unread_total; ackdelay_total } ->
-          (0, u32_ok unacked_total && u32_ok unread_total && u32_ok ackdelay_total)
-      | Estimate_computed { latency_us; _ } ->
-          ((if latency_us <> None then flag_b0 else 0), true)
-      | Req_issued { req; len; _ } | Srv_reply { req; len; _ } ->
-          (0, u32_ok req && u32_ok len)
-      | Req_sent { req } | Req_complete { req } | Srv_start { req } ->
-          (0, u32_ok req)
-      | Probe_sent { backoff; _ } -> (0, u32_ok backoff)
-      | Decision_made { decision; on_us; off_us; frozen; _ } ->
-          ( (if frozen then flag_b0 else 0)
-            lor (if on_us <> None then flag_b1 else 0)
-            lor (if off_us <> None then flag_b2 else 0),
-            u32_ok decision )
-      | Decision_outcome { decision; n; _ } -> (0, u32_ok decision && u32_ok n)
-      | Conn_opened { gen; inherited } ->
-          ((if inherited then flag_b0 else 0), u32_ok gen)
-      | Conn_closed { gen; completed } -> (0, u32_ok gen && u32_ok completed)
-      | Lb_assigned { shard; _ } -> (0, u32_ok shard)
-      | Shard_enqueued { shard; depth } -> (0, u32_ok shard && u32_ok depth)
-      | Fin_received _ | Segment_reordered _ | Segment_duplicated _
-      | Segment_challenged _ | Share_corrupted _ | Share_rejected _
-      | Request_done _ | Audit_window _ | Message _ ->
-          (0, true)
-    in
-    let wide = not narrow in
-    let flags =
-      bools
-      lor (if wide then flag_wide else 0)
-      lor match run with Some _ -> flag_run | None -> 0
-    in
-    let id_ref = intern_name w r.id in
-    Buffer.add_uint8 b kind;
-    Buffer.add_uint8 b flags;
-    Buffer.add_uint16_le b id_ref;
-    add_i64 b (Time.to_ns r.at);
-    (match r.event with
-    | Segment_sent { seq; len; _ } ->
-        add_i64 b seq;
-        add_num b ~wide len
-    | Segment_received { seq; fresh } ->
-        add_i64 b seq;
-        add_num b ~wide fresh
-    | Ack_received { acked; una } ->
-        add_i64 b una;
-        add_num b ~wide acked
-    | Nagle_hold { chunk; in_flight } ->
-        add_num b ~wide chunk;
-        add_num b ~wide in_flight
-    | Nagle_toggle _ -> ()
-    | Cork_hold { chunk } -> add_num b ~wide chunk
-    | Delack_fire { pending } | Delack_cancel { pending } ->
-        add_num b ~wide pending
-    | Fin_received { rcv_nxt } -> add_i64 b rcv_nxt
-    | Segment_dropped { seq; len; reason } ->
-        add_i64 b seq;
-        add_num b ~wide len;
-        add_u32 b (intern_str w reason)
-    | Segment_reordered { seq; delay_us } ->
-        add_i64 b seq;
-        add_f64 b delay_us
-    | Segment_duplicated { seq } | Share_corrupted { seq } -> add_i64 b seq
-    | Share_rejected { reason } -> add_u32 b (intern_str w reason)
-    | Share_ingested { unacked_total; unread_total; ackdelay_total } ->
-        add_num b ~wide unacked_total;
-        add_num b ~wide unread_total;
-        add_num b ~wide ackdelay_total
-    | Estimate_computed { latency_us; throughput; window_us } ->
-        add_f64 b (match latency_us with Some l -> l | None -> 0.0);
-        add_f64 b throughput;
-        add_f64 b window_us
-    | Request_done { latency_us } -> add_f64 b latency_us
-    | Req_issued { req; off; len } | Srv_reply { req; off; len } ->
-        add_num b ~wide req;
-        add_i64 b off;
-        add_num b ~wide len
-    | Req_sent { req } | Req_complete { req } | Srv_start { req } ->
-        add_num b ~wide req
-    | Audit_window { queue; l_avg; lambda_per_s; w_us; rel_err } ->
-        add_u32 b (intern_str w queue);
-        add_f64 b l_avg;
-        add_f64 b lambda_per_s;
-        add_f64 b w_us;
-        add_f64 b rel_err
-    | Message { tag; detail } ->
-        add_u32 b (intern_str w (tag : string));
-        add_u32 b (intern_str w detail)
-    | Segment_challenged { seq; kind } ->
-        add_i64 b seq;
-        add_u32 b (intern_str w kind)
-    | Probe_sent { seq; backoff } ->
-        add_i64 b seq;
-        add_num b ~wide backoff
-    | Decision_made
-        { decision; on_us; off_us; mode; action; reason; stale_us; frozen = _ } ->
-        add_num b ~wide decision;
-        add_f64 b (match on_us with Some v -> v | None -> 0.0);
-        add_f64 b (match off_us with Some v -> v | None -> 0.0);
-        add_u32 b (intern_str w mode);
-        add_u32 b (intern_str w action);
-        add_u32 b (intern_str w reason);
-        add_f64 b stale_us
-    | Decision_outcome { decision; mean_us; p99_us; n } ->
-        add_num b ~wide decision;
-        add_num b ~wide n;
-        add_f64 b mean_us;
-        add_f64 b p99_us
-    | Conn_opened { gen; inherited = _ } -> add_num b ~wide gen
-    | Conn_closed { gen; completed } ->
-        add_num b ~wide gen;
-        add_num b ~wide completed
-    | Lb_assigned { shard; policy } ->
-        add_num b ~wide shard;
-        add_u32 b (intern_str w policy)
-    | Shard_enqueued { shard; depth } ->
-        add_num b ~wide shard;
-        add_num b ~wide depth);
+    let f = w.frame and b = w.buf in
+    let d = encode f r.event in
+    let narrow = payload w f d ~wide:false in
+    let len = if narrow < 0 then payload w f d ~wide:true else narrow in
+    let flags = ref (Bytes.get_uint8 b 1 lor (if narrow < 0 then flag_wide else 0)) in
+    Bytes.set_uint8 b 0 d.kind;
+    Bytes.set_uint16_le b 2 (intern w.names r.id);
+    Bytes.set_int64_le b 4 (Int64.of_int (Time.to_ns r.at));
     (match run with
-    | Some label -> Buffer.add_uint16_le b (intern_name w label)
+    | Some label ->
+        flags := !flags lor flag_run;
+        Bytes.set_uint16_le b len (intern w.names label)
     | None -> ());
-    Buffer.output_buffer w.oc b;
+    Bytes.set_uint8 b 1 !flags;
+    output w.oc b 0 (if !flags land flag_run <> 0 then len + 2 else len);
     w.n_records <- w.n_records + 1
 
   let written w = w.n_records
@@ -1181,26 +980,24 @@ module Binary = struct
   let finish w =
     if not w.finished then begin
       w.finished <- true;
-      let trailer_off = LargeFile.pos_out w.oc in
       let b = w.buf in
-      let emit_table rev =
+      let trailer_off = LargeFile.pos_out w.oc in
+      let emit_table t =
         List.iter
           (fun s ->
-            Buffer.clear b;
-            add_u32 b (String.length s);
-            Buffer.output_buffer w.oc b;
+            Bytes.set_int32_le b 0 (Int32.of_int (String.length s));
+            output w.oc b 0 4;
             output_string w.oc s)
-          (List.rev rev)
+          (List.rev t.rev)
       in
-      emit_table w.names_rev;
-      emit_table w.strs_rev;
-      Buffer.clear b;
-      Buffer.add_int64_le b trailer_off;
-      add_i64 b w.n_records;
-      add_u32 b w.n_names;
-      add_u32 b w.n_strs;
-      Buffer.add_string b footer_magic;
-      Buffer.output_buffer w.oc b;
+      emit_table w.names;
+      emit_table w.strs;
+      Bytes.set_int64_le b 0 trailer_off;
+      Bytes.set_int64_le b 8 (Int64.of_int w.n_records);
+      Bytes.set_int32_le b 16 (Int32.of_int (Hashtbl.length w.names.ids));
+      Bytes.set_int32_le b 20 (Int32.of_int (Hashtbl.length w.strs.ids));
+      Bytes.blit_string footer_magic 0 b 24 8;
+      output w.oc b 0 footer_len;
       flush w.oc
     end
 
@@ -1210,21 +1007,12 @@ module Binary = struct
 
   let get_u32 by off = Int32.to_int (Bytes.get_int32_le by off) land 0xFFFF_FFFF
   let get_i64 by off = Int64.to_int (Bytes.get_int64_le by off)
-  let get_f64 by off = Int64.float_of_bits (Bytes.get_int64_le by off)
 
   let is_binary path =
-    match open_in_bin path with
+    let read_magic ic = In_channel.really_input_string ic 8 in
+    match In_channel.with_open_bin path read_magic with
+    | s -> s = Some magic
     | exception Sys_error _ -> false
-    | ic ->
-        let by = Bytes.create 8 in
-        let ok =
-          try
-            really_input ic by 0 8;
-            Bytes.to_string by = magic
-          with End_of_file -> false
-        in
-        close_in ic;
-        ok
 
   let fold_file ?unknown path ~init ~f =
     match open_in_bin path with
@@ -1264,6 +1052,11 @@ module Binary = struct
             let n_strs = get_u32 by 20 in
             if trailer_off < hlen || trailer_off > size - footer_len then
               corrupt "trailer offset out of bounds";
+            (* Refs to names are u16 and every table entry holds at least
+               its 4-byte length: check the counts before allocating. *)
+            if n_names > 0x10000 then corrupt "%d names exceed u16 refs" n_names;
+            if 4 * (n_names + n_strs) > size - footer_len - trailer_off then
+              corrupt "string table counts exceed the trailer";
             seek_in ic trailer_off;
             let read_table n =
               let a = Array.make n "" in
@@ -1279,14 +1072,11 @@ module Binary = struct
             in
             let names = read_table n_names in
             let strs = read_table n_strs in
-            let name i =
-              if i < Array.length names then names.(i)
-              else corrupt "name ref %d out of range" i
+            let lookup what table i =
+              if i < Array.length table then table.(i)
+              else corrupt "%s ref %d out of range" what i
             in
-            let str i =
-              if i < Array.length strs then strs.(i)
-              else corrupt "string ref %d out of range" i
-            in
+            let fr = Domain.DLS.get frame_key in
             seek_in ic hlen;
             let acc = ref init in
             for rec_no = 0 to n_records - 1 do
@@ -1296,131 +1086,39 @@ module Binary = struct
               let id_ref = Bytes.get_uint16_le by 2 in
               let at = get_i64 by 4 in
               let wide = flags land flag_wide <> 0 in
-              match
-                try Some (payload_len kind ~wide)
-                with Invalid_argument _ -> None
-              with
-              | None -> (
-                  match unknown with
-                  | Some cb ->
-                      (* Newer-writer record: skip its explicit-length
-                         payload and optional run ref, count it. *)
-                      let plen = Bytes.get_uint16_le (read 2) 0 in
-                      seek_in ic (pos_in ic + plen);
-                      if flags land flag_run <> 0 then ignore (read 2);
-                      cb (Printf.sprintf "kind %d" kind)
-                  | None -> corrupt "record %d: unknown kind %d" rec_no kind)
-              | Some plen ->
-              let by = read plen in
-              let num off = if wide then get_i64 by off else get_u32 by off in
-              let nsz = if wide then 8 else 4 in
-              let b0 = flags land flag_b0 <> 0 in
-              let b1 = flags land flag_b1 <> 0 in
-              let event =
-                match kind with
-                | 0 ->
-                    Segment_sent
-                      { seq = get_i64 by 0; len = num 8; push = b0; retx = b1 }
-                | 1 -> Segment_received { seq = get_i64 by 0; fresh = num 8 }
-                | 2 -> Ack_received { una = get_i64 by 0; acked = num 8 }
-                | 3 -> Nagle_hold { chunk = num 0; in_flight = num nsz }
-                | 4 -> Nagle_toggle { enabled = b0 }
-                | 5 -> Cork_hold { chunk = num 0 }
-                | 6 -> Delack_fire { pending = num 0 }
-                | 7 -> Delack_cancel { pending = num 0 }
-                | 8 -> Fin_received { rcv_nxt = get_i64 by 0 }
-                | 9 ->
-                    Segment_dropped
-                      {
-                        seq = get_i64 by 0;
-                        len = num 8;
-                        reason = str (get_u32 by (8 + nsz));
-                      }
-                | 10 ->
-                    Segment_reordered
-                      { seq = get_i64 by 0; delay_us = get_f64 by 8 }
-                | 11 -> Segment_duplicated { seq = get_i64 by 0 }
-                | 12 -> Share_corrupted { seq = get_i64 by 0 }
-                | 13 -> Share_rejected { reason = str (get_u32 by 0) }
-                | 14 ->
-                    Share_ingested
-                      {
-                        unacked_total = num 0;
-                        unread_total = num nsz;
-                        ackdelay_total = num (2 * nsz);
-                      }
-                | 15 ->
-                    Estimate_computed
-                      {
-                        latency_us = (if b0 then Some (get_f64 by 0) else None);
-                        throughput = get_f64 by 8;
-                        window_us = get_f64 by 16;
-                      }
-                | 16 -> Request_done { latency_us = get_f64 by 0 }
-                | 17 ->
-                    Req_issued
-                      { req = num 0; off = get_i64 by nsz; len = num (nsz + 8) }
-                | 18 -> Req_sent { req = num 0 }
-                | 19 -> Req_complete { req = num 0 }
-                | 20 -> Srv_start { req = num 0 }
-                | 21 ->
-                    Srv_reply
-                      { req = num 0; off = get_i64 by nsz; len = num (nsz + 8) }
-                | 22 ->
-                    Audit_window
-                      {
-                        queue = str (get_u32 by 0);
-                        l_avg = get_f64 by 4;
-                        lambda_per_s = get_f64 by 12;
-                        w_us = get_f64 by 20;
-                        rel_err = get_f64 by 28;
-                      }
-                | 23 ->
-                    Message
-                      { tag = str (get_u32 by 0); detail = str (get_u32 by 4) }
-                | 24 ->
-                    Segment_challenged
-                      { seq = get_i64 by 0; kind = str (get_u32 by 8) }
-                | 25 -> Probe_sent { seq = get_i64 by 0; backoff = num 8 }
-                | 26 ->
-                    Decision_made
-                      {
-                        decision = num 0;
-                        on_us =
-                          (if flags land flag_b1 <> 0 then
-                             Some (get_f64 by nsz)
-                           else None);
-                        off_us =
-                          (if flags land flag_b2 <> 0 then
-                             Some (get_f64 by (nsz + 8))
-                           else None);
-                        mode = str (get_u32 by (nsz + 16));
-                        action = str (get_u32 by (nsz + 20));
-                        reason = str (get_u32 by (nsz + 24));
-                        frozen = b0;
-                        stale_us = get_f64 by (nsz + 28);
-                      }
-                | 27 ->
-                    Decision_outcome
-                      {
-                        decision = num 0;
-                        n = num nsz;
-                        mean_us = get_f64 by (2 * nsz);
-                        p99_us = get_f64 by ((2 * nsz) + 8);
-                      }
-                | 28 -> Conn_opened { gen = num 0; inherited = b0 }
-                | 29 -> Conn_closed { gen = num 0; completed = num nsz }
-                | 30 ->
-                    Lb_assigned { shard = num 0; policy = str (get_u32 by nsz) }
-                | 31 -> Shard_enqueued { shard = num 0; depth = num nsz }
-                | k -> corrupt "record %d: unknown kind %d" rec_no k
-              in
-              let run =
-                if flags land flag_run <> 0 then
-                  Some (name (Bytes.get_uint16_le (read 2) 0))
-                else None
-              in
-              acc := f !acc run { at; id = name id_ref; event }
+              if kind < Array.length by_kind then begin
+                let d = by_kind.(kind) in
+                let offs = if wide then d.wide else d.narrow in
+                let by = read offs.(Array.length d.fields) in
+                for i = 0 to Array.length d.fields - 1 do
+                  let o = offs.(i) in
+                  match d.fields.(i) with
+                  | I64 _ -> fr.ints.(i) <- get_i64 by o
+                  | Slot _ -> fr.ints.(i) <- if wide then get_i64 by o else get_u32 by o
+                  | F64 _ | Opt_f64 _ ->
+                      fr.ints.(i) <- flags land d.bits.(i);
+                      fr.floats.(i) <- Int64.float_of_bits (Bytes.get_int64_le by o)
+                  | Str _ -> fr.strs.(i) <- lookup "string" strs (get_u32 by o)
+                  | Flag _ | Retag _ -> fr.ints.(i) <- flags land d.bits.(i)
+                done;
+                let event = d.decode fr in
+                let run =
+                  if flags land flag_run <> 0 then
+                    Some (lookup "name" names (Bytes.get_uint16_le (read 2) 0))
+                  else None
+                in
+                acc := f !acc run { at; id = lookup "name" names id_ref; event }
+              end
+              else
+                match unknown with
+                | Some cb ->
+                    (* Newer-writer record: skip its explicit-length
+                       payload and optional run ref, count it. *)
+                    let plen = Bytes.get_uint16_le (read 2) 0 in
+                    seek_in ic (pos_in ic + plen);
+                    if flags land flag_run <> 0 then ignore (read 2);
+                    cb (Printf.sprintf "kind %d" kind)
+                | None -> corrupt "record %d: unknown kind %d" rec_no kind
             done;
             Ok !acc
           with

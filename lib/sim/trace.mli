@@ -206,10 +206,14 @@ val shard_of_id : string -> int option
     unsharded ids (["bare/c0"], ["c0"]) map to [None]. *)
 
 val tag : record -> string
-(** Short stable tag for the record's event ("tx", "rx", "ack", "hold",
-    "toggle", "cork", "delack_fire", "delack_cancel", "fin", "retx",
-    "challenge", "probe", "share", "estimate", "request", or the
-    [Message] tag). *)
+(** Short stable tag for the record's event, the JSONL ["ev"] name:
+    "tx" or "retx" ([Segment_sent]), "rx", "ack", "hold", "toggle",
+    "cork", "delack_fire", "delack_cancel", "fin", "drop", "reorder",
+    "dup", "challenge", "probe", "share_corrupt", "share_reject",
+    "share", "estimate", "request", "req_issued", "req_sent",
+    "req_complete", "srv_start", "srv_reply", "audit", "decision",
+    "outcome", "conn_open", "conn_close", "lb_assign", "shard_enq", or
+    the [Message]'s own tag. *)
 
 val detail : record -> string
 (** Human-readable rendering of the event payload. *)
@@ -223,7 +227,10 @@ val dump : t -> Format.formatter -> unit
 (** {1 JSONL}
 
     One flat JSON object per record.  [record_to_json] and
-    [record_of_json] round-trip exactly (floats use ["%.17g"]). *)
+    [record_of_json] round-trip exactly: ints are read from their
+    decimal lexeme (a fraction, an exponent or a value outside the int
+    range is an error), floats use ["%.17g"].  Non-finite floats are
+    written as [null], which reads back only into an optional float. *)
 
 val record_to_json : ?run:string -> record -> string
 (** Single-line JSON object; [run] labels multi-run files (sweeps). *)
@@ -300,7 +307,8 @@ module Binary : sig
     string -> init:'a -> f:('a -> string option -> record -> 'a) -> ('a, string) result
   (** Stream a binary trace file record by record, in file order, with
       memory bounded by the interned string tables.  [Error] on
-      missing/unreadable/corrupt files.
+      missing/unreadable/corrupt files, including a footer whose table
+      counts the file cannot hold.
 
       [?unknown] opts into forward compatibility: files written by
       newer versions are accepted, and records of kinds this reader

@@ -659,6 +659,9 @@ let trace_sample_events : Sim.Trace.event list =
         action = "off"; reason = "exploit"; frozen = true; stale_us = -1.0 };
     Sim.Trace.Decision_outcome
       { decision = 3; mean_us = 78.8125; p99_us = 148.0; n = 51 };
+    (* ints travel as their decimal lexeme, not through a float *)
+    Sim.Trace.Segment_sent { seq = max_int; len = 0; push = false; retx = false };
+    Sim.Trace.Req_issued { req = min_int; off = max_int; len = (1 lsl 53) + 1 };
   ]
 
 let test_trace_json_roundtrip () =
@@ -678,13 +681,23 @@ let test_trace_json_roundtrip () =
         [ None; Some "off@60k" ])
     trace_sample_events
 
+(* Int fields given as a fraction, an exponent or past the int range:
+   each must be an error, not a truncation or a wrap. *)
+let trace_bad_int_lines =
+  [
+    "{\"at_ns\":1,\"conn\":\"c0\",\"ev\":\"req_sent\",\"req\":2.7}";
+    "{\"at_ns\":1e300,\"conn\":\"c0\",\"ev\":\"req_sent\",\"req\":1}";
+    "{\"at_ns\":1,\"conn\":\"c0\",\"ev\":\"req_sent\",\"req\":1e19}";
+    "{\"at_ns\":1,\"conn\":\"c0\",\"ev\":\"req_sent\",\"req\":9223372036854775807}";
+  ]
+
 let test_trace_json_malformed () =
   List.iter
     (fun line ->
       match Sim.Trace.record_of_json line with
       | Ok _ -> Alcotest.failf "expected parse error for %s" line
       | Error _ -> ())
-    [
+    ([
       "";
       "not json";
       "[1,2]";
@@ -693,6 +706,7 @@ let test_trace_json_malformed () =
       "{\"at_ns\":1,\"conn\":\"c0\",\"ev\":\"tx\",\"seq\":0,\"len\":1,\"push\":true,\"retx\":false} trailing";
       "{\"at_ns\":true,\"conn\":\"c0\",\"ev\":\"fin\",\"rcv_nxt\":1}";
     ]
+    @ trace_bad_int_lines)
 
 let write_lines path lines =
   let oc = open_out path in
@@ -786,6 +800,14 @@ let test_trace_fold_jsonl () =
     Alcotest.(check bool) "line number in message" true (contains msg "line 3");
     Alcotest.(check bool) "file name in message" true (contains msg bad)
   | Ok _ -> Alcotest.fail "expected an error for a malformed line");
+  List.iter
+    (fun line ->
+      write_lines bad [ Sim.Trace.record_to_json r1; line ];
+      match Sim.Trace.fold_jsonl bad ~init:0 ~f:(fun acc _ _ -> acc + 1) with
+      | Error msg ->
+        Alcotest.(check bool) ("line 2 named for " ^ line) true (contains msg "line 2")
+      | Ok _ -> Alcotest.failf "expected an error for %s" line)
+    trace_bad_int_lines;
   List.iter (fun p -> if Sys.file_exists p then Sys.remove p) [ path; empty; bad ]
 
 (* {1 Binary trace format} *)
@@ -920,105 +942,269 @@ let test_trace_binary_sniff_negative () =
   | Ok _ -> Alcotest.fail "expected an error for a truncated binary file");
   List.iter Sys.remove [ path; short; trunc ]
 
-let prop_trace_binary_roundtrip =
-  let open QCheck in
-  let fin = float_range (-1e12) 1e12 in
-  let gen =
-    Gen.(
-      let small_string = string_size ~gen:printable (0 -- 16) in
-      (* u32-slot values: mostly narrow, sometimes past 2^32 to force
-         the wide encoding, and -1 where call sites use it *)
-      let slot = oneofl [ 0; 1; 1448; 0xFFFF_FFFF; 0x1_0000_0000; 0x7F_FFFF_FFFF ] in
-      let seq = oneof [ slot; return (-1) ] in
-      let* at = 0 -- 2_000_000_000 in
-      let* id = oneofl [ "c0"; "s0"; "bare/c0"; "vm/s3"; "" ] in
-      let* run = oneofl [ None; Some "off@60k"; Some "r" ] in
-      let* ev =
-        oneof
-          [
-            (let* s = seq and* len = slot and* push = bool and* retx = bool in
-             return (Sim.Trace.Segment_sent { seq = s; len; push; retx }));
-            (let* s = slot and* fresh = slot in
-             return (Sim.Trace.Segment_received { seq = s; fresh }));
-            (let* acked = slot and* una = slot in
-             return (Sim.Trace.Ack_received { acked; una }));
-            (let* chunk = slot and* in_flight = slot in
-             return (Sim.Trace.Nagle_hold { chunk; in_flight }));
-            (let* enabled = bool in return (Sim.Trace.Nagle_toggle { enabled }));
-            (let* chunk = slot in return (Sim.Trace.Cork_hold { chunk }));
-            (let* pending = slot in return (Sim.Trace.Delack_fire { pending }));
-            (let* pending = slot in return (Sim.Trace.Delack_cancel { pending }));
-            (let* rcv_nxt = slot in return (Sim.Trace.Fin_received { rcv_nxt }));
-            (let* s = seq and* len = slot and* reason = small_string in
-             return (Sim.Trace.Segment_dropped { seq = s; len; reason }));
-            (let* s = seq and* delay_us = fin.gen in
-             return (Sim.Trace.Segment_reordered { seq = s; delay_us }));
-            (let* s = seq in return (Sim.Trace.Segment_duplicated { seq = s }));
-            (let* s = seq and* kind = oneofl [ "rst"; "syn"; "ack" ] in
-             return (Sim.Trace.Segment_challenged { seq = s; kind }));
-            (let* s = seq and* backoff = slot in
-             return (Sim.Trace.Probe_sent { seq = s; backoff }));
-            (let* s = seq in return (Sim.Trace.Share_corrupted { seq = s }));
-            (let* reason = small_string in
-             return (Sim.Trace.Share_rejected { reason }));
-            (let* a = slot and* b = slot and* c = slot in
-             return
-               (Sim.Trace.Share_ingested
-                  { unacked_total = a; unread_total = b; ackdelay_total = c }));
-            (let* latency = opt fin.gen and* tp = fin.gen and* w = fin.gen in
-             return
-               (Sim.Trace.Estimate_computed
-                  { latency_us = latency; throughput = tp; window_us = w }));
-            (let* l = fin.gen in return (Sim.Trace.Request_done { latency_us = l }));
-            (let* req = slot and* off = slot and* len = slot in
-             return (Sim.Trace.Req_issued { req; off; len }));
-            (let* req = slot in return (Sim.Trace.Req_sent { req }));
-            (let* req = slot in return (Sim.Trace.Req_complete { req }));
-            (let* req = slot in return (Sim.Trace.Srv_start { req }));
-            (let* req = slot and* off = slot and* len = slot in
-             return (Sim.Trace.Srv_reply { req; off; len }));
-            (let* queue = small_string and* l = fin.gen and* lam = fin.gen
-             and* w = fin.gen and* e = fin.gen in
-             return
-               (Sim.Trace.Audit_window
-                  { queue; l_avg = l; lambda_per_s = lam; w_us = w; rel_err = e }));
-            (let* tag = small_string and* detail = small_string in
-             return (Sim.Trace.Message { tag; detail }));
-            (let* decision = slot and* on_us = opt fin.gen
-             and* off_us = opt fin.gen
-             and* mode = oneofl [ "on"; "off"; "limit=4" ]
-             and* action = oneofl [ "on"; "off"; "limit=8" ]
-             and* reason =
-               oneofl [ "explore"; "exploit"; "undersampled"; "forced";
-                        "good"; "bad"; "hold" ]
-             and* frozen = bool and* stale_us = fin.gen in
-             return
-               (Sim.Trace.Decision_made
-                  { decision; on_us; off_us; mode; action; reason; frozen;
-                    stale_us }));
-            (let* decision = slot and* mean_us = fin.gen and* p99_us = fin.gen
-             and* n = slot in
-             return (Sim.Trace.Decision_outcome { decision; mean_us; p99_us; n }));
-            (let* gen = slot and* inherited = bool in
-             return (Sim.Trace.Conn_opened { gen; inherited }));
-            (let* gen = slot and* completed = slot in
-             return (Sim.Trace.Conn_closed { gen; completed }));
-          ]
-      in
-      return (run, { Sim.Trace.at; id; event = ev }))
+(* One record of any constructor, for the round-trip properties of both
+   codecs: small ints and ints over the whole int range (so narrow and
+   wide records both occur), any finite float (JSONL writes non-finite
+   floats as null), strings of any bytes, and an optional run label. *)
+let gen_trace_record =
+  let open QCheck.Gen in
+  let int =
+    oneof [ int; nat; oneofl [ 0; 1; -1; 0xFFFF_FFFF; 0x1_0000_0000; max_int; min_int ] ]
   in
-  Test.make ~count:100 ~name:"binary trace roundtrips every constructor"
-    (make (Gen.list_size Gen.(1 -- 20) gen))
+  let float =
+    let finite x = if Float.is_finite x then x else 0.0 in
+    oneof [ float; map (fun b -> finite (Int64.float_of_bits b)) int64 ]
+  in
+  let str = string_size ~gen:char (0 -- 12) in
+  let* at = int and* id = oneofl [ "c0"; "s0"; "bare/c0@s1"; "" ] in
+  let* run = opt str in
+  let* event =
+    oneof
+      [
+        (let* seq = int and* len = int and* push = bool and* retx = bool in
+         return (Sim.Trace.Segment_sent { seq; len; push; retx }));
+        (let* seq = int and* fresh = int in
+         return (Sim.Trace.Segment_received { seq; fresh }));
+        (let* acked = int and* una = int in
+         return (Sim.Trace.Ack_received { acked; una }));
+        (let* chunk = int and* in_flight = int in
+         return (Sim.Trace.Nagle_hold { chunk; in_flight }));
+        (let* enabled = bool in return (Sim.Trace.Nagle_toggle { enabled }));
+        (let* chunk = int in return (Sim.Trace.Cork_hold { chunk }));
+        (let* pending = int in return (Sim.Trace.Delack_fire { pending }));
+        (let* pending = int in return (Sim.Trace.Delack_cancel { pending }));
+        (let* rcv_nxt = int in return (Sim.Trace.Fin_received { rcv_nxt }));
+        (let* seq = int and* len = int and* reason = str in
+         return (Sim.Trace.Segment_dropped { seq; len; reason }));
+        (let* seq = int and* delay_us = float in
+         return (Sim.Trace.Segment_reordered { seq; delay_us }));
+        (let* seq = int in return (Sim.Trace.Segment_duplicated { seq }));
+        (let* seq = int and* kind = str in
+         return (Sim.Trace.Segment_challenged { seq; kind }));
+        (let* seq = int and* backoff = int in
+         return (Sim.Trace.Probe_sent { seq; backoff }));
+        (let* seq = int in return (Sim.Trace.Share_corrupted { seq }));
+        (let* reason = str in return (Sim.Trace.Share_rejected { reason }));
+        (let* unacked_total = int and* unread_total = int and* ackdelay_total = int in
+         return
+           (Sim.Trace.Share_ingested { unacked_total; unread_total; ackdelay_total }));
+        (let* latency_us = opt float and* throughput = float and* window_us = float in
+         return (Sim.Trace.Estimate_computed { latency_us; throughput; window_us }));
+        (let* latency_us = float in return (Sim.Trace.Request_done { latency_us }));
+        (let* req = int and* off = int and* len = int in
+         return (Sim.Trace.Req_issued { req; off; len }));
+        (let* req = int in return (Sim.Trace.Req_sent { req }));
+        (let* req = int in return (Sim.Trace.Req_complete { req }));
+        (let* req = int in return (Sim.Trace.Srv_start { req }));
+        (let* req = int and* off = int and* len = int in
+         return (Sim.Trace.Srv_reply { req; off; len }));
+        (let* queue = str and* l_avg = float and* lambda_per_s = float and* w_us = float
+         and* rel_err = float in
+         return (Sim.Trace.Audit_window { queue; l_avg; lambda_per_s; w_us; rel_err }));
+        (let* tag = str and* detail = str in return (Sim.Trace.Message { tag; detail }));
+        (let* decision = int and* on_us = opt float and* off_us = opt float
+         and* mode = str and* action = str and* reason = str and* frozen = bool
+         and* stale_us = float in
+         return
+           (Sim.Trace.Decision_made
+              { decision; on_us; off_us; mode; action; reason; frozen; stale_us }));
+        (let* decision = int and* mean_us = float and* p99_us = float and* n = int in
+         return (Sim.Trace.Decision_outcome { decision; mean_us; p99_us; n }));
+        (let* gen = int and* inherited = bool in
+         return (Sim.Trace.Conn_opened { gen; inherited }));
+        (let* gen = int and* completed = int in
+         return (Sim.Trace.Conn_closed { gen; completed }));
+        (let* shard = int and* policy = str in
+         return (Sim.Trace.Lb_assigned { shard; policy }));
+        (let* shard = int and* depth = int in
+         return (Sim.Trace.Shard_enqueued { shard; depth }));
+      ]
+  in
+  return (run, { Sim.Trace.at; id; event })
+
+let write_binary path records =
+  let oc = open_out_bin path in
+  let w = Sim.Trace.Binary.writer oc in
+  List.iter (fun (run, r) -> Sim.Trace.Binary.write w ?run r) records;
+  Sim.Trace.Binary.finish w;
+  close_out oc
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let prop_trace_binary_roundtrip =
+  QCheck.Test.make ~count:200 ~name:"binary trace roundtrips every constructor"
+    QCheck.(make Gen.(list_size (1 -- 20) gen_trace_record))
     (fun records ->
       let path = Filename.temp_file "e2e_binprop" ".bin" in
-      let oc = open_out_bin path in
-      let w = Sim.Trace.Binary.writer oc in
-      List.iter (fun (run, r) -> Sim.Trace.Binary.write w ?run r) records;
-      Sim.Trace.Binary.finish w;
-      close_out oc;
+      write_binary path records;
       let result = Sim.Trace.Binary.load_file path in
       Sys.remove path;
       match result with Ok loaded -> loaded = records | Error _ -> false)
+
+(* bin -> JSONL -> bin: the records survive, and the second binary file
+   is byte-identical to the first. *)
+let prop_trace_cross_format =
+  QCheck.Test.make ~count:200 ~name:"binary -> JSONL -> binary is exact"
+    QCheck.(make Gen.(list_size (1 -- 20) gen_trace_record))
+    (fun records ->
+      let bin = Filename.temp_file "e2e_cross" ".bin" in
+      let bin' = Filename.temp_file "e2e_cross" ".bin" in
+      write_binary bin records;
+      let via_json =
+        match Sim.Trace.Binary.load_file bin with
+        | Ok loaded ->
+          List.map
+            (fun (run, r) -> Sim.Trace.record_of_json (Sim.Trace.record_to_json ?run r))
+            loaded
+        | Error e -> [ Error e ]
+      in
+      let ok = List.for_all Result.is_ok via_json in
+      if ok then write_binary bin' (List.map Result.get_ok via_json);
+      let same = ok && read_file bin = read_file bin' in
+      List.iter Sys.remove [ bin; bin' ];
+      same && List.map Result.get_ok via_json = records)
+
+(* One record per constructor with narrow payloads (no run label), then
+   one per constructor with every u32-slot value outside 32 bits (wide
+   records), extreme i64s and the other flag values (with a run label).
+   Floats stay finite: JSONL writes non-finite floats as null. *)
+let trace_golden_events : Sim.Trace.event list =
+  [
+    Sim.Trace.Segment_sent { seq = 12; len = 1448; push = true; retx = false };
+    Sim.Trace.Segment_received { seq = 12; fresh = 1448 };
+    Sim.Trace.Ack_received { acked = 1448; una = 1460 };
+    Sim.Trace.Nagle_hold { chunk = 64; in_flight = 1448 };
+    Sim.Trace.Nagle_toggle { enabled = true };
+    Sim.Trace.Cork_hold { chunk = 256 };
+    Sim.Trace.Delack_fire { pending = 2 };
+    Sim.Trace.Delack_cancel { pending = 1 };
+    Sim.Trace.Fin_received { rcv_nxt = 4242 };
+    Sim.Trace.Segment_dropped { seq = 88; len = 1500; reason = "loss" };
+    Sim.Trace.Segment_reordered { seq = 7; delay_us = 123.456 };
+    Sim.Trace.Segment_duplicated { seq = 9 };
+    Sim.Trace.Share_corrupted { seq = 11 };
+    Sim.Trace.Share_rejected { reason = "w_us out of range" };
+    Sim.Trace.Share_ingested { unacked_total = 3; unread_total = 7; ackdelay_total = 1 };
+    Sim.Trace.Estimate_computed
+      { latency_us = Some 123.456; throughput = 60000.25; window_us = 1000.0 };
+    Sim.Trace.Request_done { latency_us = 88.25 };
+    Sim.Trace.Req_issued { req = 17; off = 1234; len = 56 };
+    Sim.Trace.Req_sent { req = 17 };
+    Sim.Trace.Req_complete { req = 17 };
+    Sim.Trace.Srv_start { req = 17 };
+    Sim.Trace.Srv_reply { req = 17; off = 4321; len = 7 };
+    Sim.Trace.Audit_window
+      { queue = "c0.unacked"; l_avg = 3.25; lambda_per_s = 60000.5; w_us = 54.125;
+        rel_err = 0.015625 };
+    Sim.Trace.Message { tag = "note"; detail = "hello \"quoted\" \\ world\n\t\001" };
+    Sim.Trace.Segment_challenged { seq = 9999; kind = "rst" };
+    Sim.Trace.Probe_sent { seq = 1447; backoff = 1 };
+    Sim.Trace.Decision_made
+      { decision = 0; on_us = Some 92.125; off_us = Some 54.5; mode = "on";
+        action = "off"; reason = "exploit"; frozen = false; stale_us = 18.75 };
+    Sim.Trace.Decision_outcome { decision = 0; mean_us = 78.8125; p99_us = 148.0; n = 51 };
+    Sim.Trace.Conn_opened { gen = 3; inherited = true };
+    Sim.Trace.Conn_closed { gen = 3; completed = 1234 };
+    Sim.Trace.Lb_assigned { shard = 2; policy = "least_loaded" };
+    Sim.Trace.Shard_enqueued { shard = 1; depth = 5 };
+    Sim.Trace.Segment_sent { seq = max_int; len = 0x1_0000_0002; push = false; retx = true };
+    Sim.Trace.Segment_received { seq = min_int; fresh = 0x1_0000_0000 };
+    Sim.Trace.Ack_received { acked = -1; una = max_int };
+    Sim.Trace.Nagle_hold { chunk = 0x1_0000_0000; in_flight = 0 };
+    Sim.Trace.Nagle_toggle { enabled = false };
+    Sim.Trace.Cork_hold { chunk = -5 };
+    Sim.Trace.Delack_fire { pending = 0x7F_FFFF_FFFF };
+    Sim.Trace.Delack_cancel { pending = 0x1_0000_0000 };
+    Sim.Trace.Fin_received { rcv_nxt = min_int };
+    Sim.Trace.Segment_dropped { seq = -1; len = 0x1_0000_0001; reason = "blackout" };
+    Sim.Trace.Segment_reordered { seq = -1; delay_us = 1e300 };
+    Sim.Trace.Segment_duplicated { seq = -1 };
+    Sim.Trace.Share_corrupted { seq = max_int };
+    Sim.Trace.Share_rejected { reason = "" };
+    Sim.Trace.Share_ingested
+      { unacked_total = 0x1_0000_0000; unread_total = 1; ackdelay_total = 0xFFFF_FFFF };
+    Sim.Trace.Estimate_computed { latency_us = None; throughput = 0.0; window_us = 0.5 };
+    Sim.Trace.Request_done { latency_us = 1e-300 };
+    Sim.Trace.Req_issued { req = 0x1_0000_0000; off = max_int; len = 0 };
+    Sim.Trace.Req_sent { req = 0x1_0000_0000 };
+    Sim.Trace.Req_complete { req = 0x1_0000_0001 };
+    Sim.Trace.Srv_start { req = -1 };
+    Sim.Trace.Srv_reply { req = 0; off = min_int; len = 0x1_0000_0000 };
+    Sim.Trace.Audit_window
+      { queue = ""; l_avg = 0.0; lambda_per_s = 1e-9; w_us = 1e12; rel_err = -2.5 };
+    Sim.Trace.Message { tag = ""; detail = "" };
+    Sim.Trace.Segment_challenged { seq = -1; kind = "syn" };
+    Sim.Trace.Probe_sent { seq = 0x1_0000_0003; backoff = 0x1_0000_0000 };
+    Sim.Trace.Decision_made
+      { decision = 0x1_0000_0004; on_us = None; off_us = None; mode = "limit=4";
+        action = "limit=8"; reason = "undersampled"; frozen = true; stale_us = -1.0 };
+    Sim.Trace.Decision_outcome
+      { decision = 0x1_0000_0004; mean_us = 0.0; p99_us = 1e-3; n = 0x1_0000_0001 };
+    Sim.Trace.Conn_opened { gen = 0x1_0000_0005; inherited = false };
+    Sim.Trace.Conn_closed { gen = 0; completed = 0x1_0000_0006 };
+    Sim.Trace.Lb_assigned { shard = 0x1_0000_0000; policy = "consistent_hash" };
+    Sim.Trace.Shard_enqueued { shard = 3; depth = 0x1_0000_0000 };
+  ]
+
+let trace_golden : (string option * Sim.Trace.record) list =
+  let n = List.length trace_golden_events / 2 in
+  List.mapi
+    (fun i event ->
+      let id = List.nth [ "c0"; "bare/c1@s2"; "" ] (i mod 3) in
+      let run = if i < n then None else Some "off@60k" in
+      (run, { Sim.Trace.at = (i * 1000) + 7; id; event }))
+    trace_golden_events
+
+(* The fixtures pin [trace_golden]'s v4 binary bytes, its JSONL text and
+   its [pp_record] rendering: decoding them must give the same records,
+   and the writers must reproduce them byte for byte. *)
+let test_trace_golden_fixtures () =
+  let bin = "fixtures/trace_v4.bin" and jsonl = "fixtures/trace_v4.jsonl" in
+  (match Sim.Trace.Binary.load_file bin with
+  | Ok loaded ->
+    Alcotest.(check bool) "binary fixture decodes" true (loaded = trace_golden)
+  | Error e -> Alcotest.failf "binary fixture: %s" e);
+  (match Sim.Trace.load_jsonl jsonl with
+  | Ok loaded -> Alcotest.(check bool) "JSONL fixture decodes" true (loaded = trace_golden)
+  | Error e -> Alcotest.failf "JSONL fixture: %s" e);
+  let path = Filename.temp_file "e2e_golden" ".bin" in
+  write_binary path trace_golden;
+  let rewritten = read_file path in
+  Sys.remove path;
+  Alcotest.(check bool) "binary re-encodes byte-identically" true
+    (rewritten = read_file bin);
+  Alcotest.(check string) "JSONL re-encodes byte-identically" (read_file jsonl)
+    (String.concat ""
+       (List.map (fun (run, r) -> Sim.Trace.record_to_json ?run r ^ "\n") trace_golden));
+  Alcotest.(check string) "tags and details render as before"
+    (read_file "fixtures/trace_v4.txt")
+    (String.concat ""
+       (List.map (fun (_, r) -> Format.asprintf "%a\n" Sim.Trace.pp_record r) trace_golden))
+
+(* A footer claiming more table entries than the file can hold is an
+   [Error], not an [Out_of_memory] from allocating the tables. *)
+let test_trace_binary_hostile_footer () =
+  let path = Filename.temp_file "e2e_footer" ".bin" in
+  write_binary path
+    [ (None, { Sim.Trace.at = 1; id = "c0"; event = Sim.Trace.Req_sent { req = 0 } }) ];
+  let good = read_file path in
+  let footer = String.length good - 32 in
+  List.iter
+    (fun (what, off, count) ->
+      let b = Bytes.of_string good in
+      Bytes.set_int32_le b (footer + off) (Int32.of_int count);
+      Out_channel.with_open_bin path (fun oc -> Out_channel.output_bytes oc b);
+      match Sim.Trace.Binary.load_file path with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "accepted a footer with %s" what
+      | exception e -> Alcotest.failf "%s raised %s" what (Printexc.to_string e))
+    [
+      ("0x7FFFFFF0 names", 16, 0x7FFF_FFF0);
+      ("0x7FFFFFF0 strings", 20, 0x7FFF_FFF0);
+      ("65537 names", 16, 65537);
+      ("more strings than trailer bytes", 20, 2);
+    ];
+  Sys.remove path
 
 (* {1 Audit} *)
 
@@ -1108,49 +1294,11 @@ let test_trace_disabled_guard_no_alloc () =
     true (per_op < 0.01)
 
 let prop_trace_json_roundtrip =
-  let open QCheck in
-  let fin = float_range (-1e9) 1e9 in
-  let gen =
-    Gen.(
-      let* at = 0 -- 1_000_000_000 in
-      let* id = string_size ~gen:(char_range 'a' 'z') (0 -- 8) in
-      let* ev =
-        oneof
-          [
-            (* ints ride a float-backed JSON number: exact below 2^53 *)
-            (let* seq = 0 -- 1_000_000_000 and* len = 0 -- 100_000 and* push = bool
-             and* retx = bool in
-             return (Sim.Trace.Segment_sent { seq; len; push; retx }));
-            (let* latency = opt fin.gen and* tp = fin.gen and* w = fin.gen in
-             return
-               (Sim.Trace.Estimate_computed
-                  { latency_us = latency; throughput = tp; window_us = w }));
-            (let* tag = string_size ~gen:Gen.printable (0 -- 12)
-             and* detail = string_size ~gen:Gen.printable (0 -- 20) in
-             return (Sim.Trace.Message { tag; detail }));
-            (let* l = fin.gen in
-             return (Sim.Trace.Request_done { latency_us = l }));
-            (let* decision = 0 -- 1_000_000_000 and* on_us = opt fin.gen
-             and* off_us = opt fin.gen
-             and* mode = oneofl [ "on"; "off"; "limit=4" ]
-             and* action = oneofl [ "on"; "off"; "limit=8" ]
-             and* reason = oneofl [ "explore"; "exploit"; "hold" ]
-             and* frozen = bool and* stale_us = fin.gen in
-             return
-               (Sim.Trace.Decision_made
-                  { decision; on_us; off_us; mode; action; reason; frozen;
-                    stale_us }));
-            (let* decision = 0 -- 1_000_000_000 and* mean_us = fin.gen
-             and* p99_us = fin.gen and* n = 0 -- 1_000_000_000 in
-             return (Sim.Trace.Decision_outcome { decision; mean_us; p99_us; n }));
-          ]
-      in
-      return { Sim.Trace.at; id; event = ev })
-  in
-  Test.make ~count:300 ~name:"trace JSONL roundtrips exactly" (make gen) (fun r ->
-      match Sim.Trace.record_of_json (Sim.Trace.record_to_json r) with
-      | Ok (None, r') -> r = r'
-      | Ok (Some _, _) | Error _ -> false)
+  QCheck.Test.make ~count:500 ~name:"trace JSONL roundtrips exactly"
+    (QCheck.make gen_trace_record) (fun (run, r) ->
+      match Sim.Trace.record_of_json (Sim.Trace.record_to_json ?run r) with
+      | Ok (run', r') -> run = run' && r = r'
+      | Error _ -> false)
 
 let suite =
   [
@@ -1249,10 +1397,14 @@ let suite =
           test_trace_binary_roundtrip;
         Alcotest.test_case "binary sniff negatives" `Quick
           test_trace_binary_sniff_negative;
+        Alcotest.test_case "binary hostile footer" `Quick
+          test_trace_binary_hostile_footer;
+        Alcotest.test_case "golden fixtures" `Quick test_trace_golden_fixtures;
         Alcotest.test_case "guarded disabled path: no alloc" `Quick
           test_trace_disabled_guard_no_alloc;
         QCheck_alcotest.to_alcotest prop_trace_json_roundtrip;
         QCheck_alcotest.to_alcotest prop_trace_binary_roundtrip;
+        QCheck_alcotest.to_alcotest prop_trace_cross_format;
       ] );
     ( "sim.audit",
       [
