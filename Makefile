@@ -1,6 +1,6 @@
 # Tier-1 verification in one command: build + full test suite (the
 # parallel-vs-sequential determinism tests included) with backtraces on.
-.PHONY: all build test check smoke report-smoke chaos-smoke scenario-smoke convert-smoke explain-smoke churn-smoke scale-smoke alloc-gate bench-par bench-rawspeed bench-scale clean
+.PHONY: all build test check smoke report-smoke chaos-smoke scenario-smoke convert-smoke explain-smoke churn-smoke scale-smoke same-answer alloc-gate bench-par bench-rawspeed bench-scale clean
 
 all: build
 
@@ -10,7 +10,7 @@ build:
 test:
 	OCAMLRUNPARAM=b dune runtest
 
-check: smoke report-smoke chaos-smoke scenario-smoke convert-smoke explain-smoke churn-smoke scale-smoke alloc-gate
+check: smoke report-smoke chaos-smoke scenario-smoke convert-smoke explain-smoke churn-smoke scale-smoke same-answer alloc-gate
 	OCAMLRUNPARAM=b dune build
 	OCAMLRUNPARAM=b dune runtest
 
@@ -232,11 +232,46 @@ scale-smoke:
 	  || { echo "scale-smoke: sharded run not deterministic (trace)"; exit 1; }
 	@echo "scale-smoke: OK"
 
+# Same-answer gate: short fixed-seed runs whose binary traces and
+# stdout must hash to the values in test/fixtures/same_answer.sha256 —
+# a change that only makes the simulator faster must not move a single
+# byte.  Runs: 16 KiB SETs with Nagle off, 64 B SETs under dynamic
+# batching at 100 kRPS, 1 KiB SETs at 1% loss (SACK recovery), the same
+# with a 20 ms blackout (RTO fires and backs off), and a 2-core sharded
+# fleet with scripted churn.  A run's trace file keeps its last 64Ki
+# records; its stdout summarises the whole run.  When a change is
+# meant to alter simulated results, regenerate the fixture with the
+# same commands and say why in CHANGES.md:
+#   sha256sum _smoke/same-*.bin _smoke/same-*.out > test/fixtures/same_answer.sha256
+same-answer:
+	dune build bin/e2ebench.exe
+	mkdir -p _smoke
+	dune exec bin/e2ebench.exe -- run --rate 50 --nagle off \
+	  --warmup-ms 5 --duration-ms 100 --trace-out _smoke/same-16k.bin > _smoke/same-16k.out
+	dune exec bin/e2ebench.exe -- run --value-size 64 --rate 100 --nagle dynamic \
+	  --warmup-ms 5 --duration-ms 100 --trace-out _smoke/same-64b.bin > _smoke/same-64b.out
+	dune exec bin/e2ebench.exe -- run --value-size 1024 --loss 0.01 \
+	  --warmup-ms 5 --duration-ms 300 --trace-out _smoke/same-loss.bin > _smoke/same-loss.out
+	printf 'blackout dir=both from_ms=40 until_ms=60\n' > _smoke/same-rto.fault
+	dune exec bin/e2ebench.exe -- run --value-size 1024 --loss 0.01 \
+	  --fault-plan _smoke/same-rto.fault \
+	  --warmup-ms 5 --duration-ms 300 --trace-out _smoke/same-rto.bin > _smoke/same-rto.out
+	printf '%s\n' \
+	  'fleet seed=11 warmup_ms=10 duration_ms=40 scope=per_conn' \
+	  'server cores=2 lb=least_loaded' \
+	  'tenant name=churny conns=4 rate_rps=20000 batching=dynamic churn_script=20:+2,30:-2 churn_max=32' \
+	  > _smoke/same-fleet.scn
+	dune exec bin/e2ebench.exe -- scenario _smoke/same-fleet.scn \
+	  --trace-out _smoke/same-fleet.bin > _smoke/same-fleet.out
+	@sha256sum -c --quiet test/fixtures/same_answer.sha256 \
+	  || { echo "same-answer: simulated output differs from the fixture"; exit 1; }
+	@echo "same-answer: OK"
+
 # Zero-allocation gate: every guarded hot-path probe (disabled trace
-# emission, event-heap push/take, idle engine polling, delayed-ACK
-# bookkeeping, a RESP parser polled while it awaits the rest of a
-# value, a binary trace writer appending a record) must measure 0.000
-# minor words per op.  Writes
+# emission, event-heap push/take, idle engine polling, re-arming an
+# armed timer, delayed-ACK bookkeeping, a RESP parser polled while it
+# awaits the rest of a value, a binary trace writer appending a record)
+# must measure 0.000 minor words per op — 12 probes.  Writes
 # BENCH_alloc.json; exits nonzero on any regression.
 alloc-gate:
 	dune exec bench/main.exe -- alloc

@@ -597,13 +597,12 @@ let ablate_offline () =
       ~local:(E2e.Estimator.local_snapshot (Tcp.Socket.estimator a) ~at)
       ~remote:(E2e.Estimator.local_snapshot (Tcp.Socket.estimator b) ~at);
     if Sim.Time.compare at (Sim.Time.ms 200) < 0 then
-      ignore (Sim.Engine.schedule engine ~after:(Sim.Time.ms 2) poll)
+      Sim.Engine.schedule engine ~after:(Sim.Time.ms 2) poll
   in
   poll ();
   for i = 0 to 4_000 do
-    ignore
-      (Sim.Engine.schedule_at engine ~at:(Sim.Time.us (i * 50)) (fun () ->
-           Tcp.Socket.send a (String.make 2000 'x')))
+    Sim.Engine.schedule_at engine ~at:(Sim.Time.us (i * 50)) (fun () ->
+        Tcp.Socket.send a (String.make 2000 'x'))
   done;
   Sim.Engine.run_until engine (Sim.Time.ms 205);
   let offline =
@@ -784,29 +783,15 @@ let micro () =
     Test.make ~name:"resp.parse_small_set"
       (Staged.stage (fun () -> ignore (Kv.Resp.parse_exactly wire)))
   in
-  (* Old closure-comparator heap vs the monomorphic event heap now in
-     the engine, on the same push/pop event workload. *)
+  (* The engine's event heap on a push/pop event workload. *)
   let heap_events =
     Array.init 256 (fun i ->
         {
           Sim.Event_heap.at = Sim.Time.ns ((i * 7919) mod 4096);
           seq = i;
           action = ignore;
-          cancelled = false;
+          pos = -1;
         })
-  in
-  let heap_poly =
-    let cmp (a : Sim.Event_heap.event) (b : Sim.Event_heap.event) =
-      let c = Sim.Time.compare a.at b.at in
-      if c <> 0 then c else Int.compare a.seq b.seq
-    in
-    Test.make ~name:"heap.poly_push_pop_256"
-      (Staged.stage (fun () ->
-           let h = Sim.Heap.create ~cmp in
-           Array.iter (Sim.Heap.push h) heap_events;
-           while not (Sim.Heap.is_empty h) do
-             ignore (Sim.Heap.pop h)
-           done))
   in
   let heap_mono =
     Test.make ~name:"heap.mono_push_pop_256"
@@ -913,7 +898,7 @@ let micro () =
     Test.make_grouped ~name:"e2e"
       [
         queue_state_track; get_avgs; encode; decode; option_codec; ewma; resp_parse;
-        heap_poly; heap_mono; heap_mono_take; emitf_disabled; emitf_guarded_disabled;
+        heap_mono; heap_mono_take; emitf_disabled; emitf_guarded_disabled;
         emitf_enabled; event_guarded_disabled; event_enabled;
         span_req_guarded_disabled; span_build;
       ]
@@ -1033,9 +1018,17 @@ let alloc () =
   in
   let heap = Sim.Event_heap.create () in
   let heap_ev =
-    { Sim.Event_heap.at = 0; seq = 0; action = ignore; cancelled = false }
+    { Sim.Event_heap.at = 0; seq = 0; action = ignore; pos = -1 }
   in
   let idle_engine = Sim.Engine.create () in
+  (* The per-ACK RTO restart: an armed timer re-armed in place, among a
+     few dozen other queued events. *)
+  let rearm_engine = Sim.Engine.create () in
+  for i = 1 to 32 do
+    Sim.Engine.schedule rearm_engine ~after:(Sim.Time.us (i * 7)) ignore
+  done;
+  let rearm_timer = Sim.Engine.timer ignore in
+  Sim.Engine.arm rearm_engine rearm_timer ~after:(Sim.Time.ms 200);
   let delack_engine = Sim.Engine.create () in
   let delack = Tcp.Delayed_ack.create delack_engine ~send_ack:ignore () in
   let histo = Sim.Histo.create () in
@@ -1089,6 +1082,8 @@ let alloc () =
           Sim.Event_heap.push heap heap_ev;
           ignore (Sim.Event_heap.take heap) );
       ("engine.run_until_idle", fun () -> Sim.Engine.run_until idle_engine 0);
+      ( "engine.timer_rearm",
+        fun () -> Sim.Engine.arm rearm_engine rearm_timer ~after:(Sim.Time.ms 200) );
       ("delack.on_ack_sent_idle", fun () -> Tcp.Delayed_ack.on_ack_sent delack);
       ("histo.add", fun () -> Sim.Histo.add histo 123.456);
       ( "ledger.completion_disabled",

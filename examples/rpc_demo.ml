@@ -39,15 +39,14 @@ let () =
   let baseline = Rpc.Client.hint_share client ~at:(Sim.Engine.now engine) in
   let rng = Sim.Rng.create ~seed:3 in
   for i = 0 to 1_999 do
-    ignore
-      (Sim.Engine.schedule_at engine ~at:(Sim.Time.us (i * 50)) (fun () ->
-           let meth = if Sim.Rng.bool rng then "reverse" else "checksum" in
-           Rpc.Client.call client ~meth ~payload:(String.make 700 'd')
-             ~on_reply:(fun ~latency reply ->
-               (match reply with
-               | Ok _ -> ()
-               | Error e -> failwith e);
-               Sim.Stats.Summary.add measured (Sim.Time.to_us latency))))
+    Sim.Engine.schedule_at engine ~at:(Sim.Time.us (i * 50)) (fun () ->
+        let meth = if Sim.Rng.bool rng then "reverse" else "checksum" in
+        Rpc.Client.call client ~meth ~payload:(String.make 700 'd')
+          ~on_reply:(fun ~latency reply ->
+            (match reply with
+            | Ok _ -> ()
+            | Error e -> failwith e);
+            Sim.Stats.Summary.add measured (Sim.Time.to_us latency)))
   done;
   Sim.Engine.run engine;
   let now = Sim.Engine.now engine in

@@ -173,9 +173,9 @@ let attach ?ledger ~engine ~until ~rng ~fault_armed ~batching ~client_socks
           ~reason ~frozen:false ~stale_us:(stale_age_us at) ()
       | None -> ());
       if Sim.Time.compare (Sim.Time.add at a.aimd_tick) until <= 0 then
-        ignore (Sim.Engine.schedule engine ~after:a.aimd_tick tick)
+        Sim.Engine.schedule engine ~after:a.aimd_tick tick
     in
-    ignore (Sim.Engine.schedule engine ~after:a.aimd_tick tick);
+    Sim.Engine.schedule engine ~after:a.aimd_tick tick;
     { none with aimd = Some controller }
   | Dynamic d ->
     let toggler =
@@ -261,9 +261,9 @@ let attach ?ledger ~engine ~until ~rng ~fault_armed ~batching ~client_socks
           ~frozen ~stale_us:(stale_age_us at) ()
       | None -> ());
       if Sim.Time.compare (Sim.Time.add at d.tick) until <= 0 then
-        ignore (Sim.Engine.schedule engine ~after:d.tick tick)
+        Sim.Engine.schedule engine ~after:d.tick tick
     in
-    ignore (Sim.Engine.schedule engine ~after:d.tick tick);
+    Sim.Engine.schedule engine ~after:d.tick tick;
     { none with toggler = Some toggler; degrade }
 
 let samples t = List.rev !(t.samples_rev)

@@ -634,10 +634,9 @@ let run (cfg : config) =
         let gap = Arrival.next_gap s.arrival ~now:(Sim.Engine.now engine) in
         let at = Sim.Time.add (Sim.Engine.now engine) gap in
         if Sim.Time.compare at total <= 0 then
-          ignore
-            (Sim.Engine.schedule engine ~after:gap (fun () ->
-                 issue (Workload.next_command s.spec.workload ~rng:s.workload_rng);
-                 schedule_request ()))
+          Sim.Engine.schedule engine ~after:gap (fun () ->
+              issue (Workload.next_command s.spec.workload ~rng:s.workload_rng);
+              schedule_request ())
       in
       schedule_request ())
     states;
@@ -726,9 +725,9 @@ let run (cfg : config) =
             ~est_us:(ns_opt_to_us tagg.latency_ns) ~nagle_frac)
         per_tenant;
       if Sim.Time.compare (Sim.Time.add at interval) total <= 0 then
-        ignore (Sim.Engine.schedule engine ~after:interval tick)
+        Sim.Engine.schedule engine ~after:interval tick
     in
-    ignore (Sim.Engine.schedule engine ~after:interval tick));
+    Sim.Engine.schedule engine ~after:interval tick);
   (* Envelope edges: register every modulation discontinuity at its own
      instant so the settling tracker can segment the run.  Scheduling
      (rather than registering up front) keeps the trace breadcrumbs in
@@ -746,9 +745,8 @@ let run (cfg : config) =
           List.iter
             (fun at_us ->
               let at = int_of_float (at_us *. 1e3) in
-              ignore
-                (Sim.Engine.schedule_at engine ~at (fun () ->
-                     Observe.note_edge o ~id:(s.spec.name ^ "/client") ~at)))
+              Sim.Engine.schedule_at engine ~at (fun () ->
+                  Observe.note_edge o ~id:(s.spec.name ^ "/client") ~at))
             (Arrival.edges env ~until_us:(float_of_int total /. 1e3)))
       states);
   (* Control groups, one per scope unit, each with its own rng split in
@@ -967,11 +965,11 @@ let run (cfg : config) =
           match Tcp.Socket.state e.ssock with
           | Tcp.Socket.Close_wait -> Tcp.Socket.close e.ssock
           | Tcp.Socket.Closed | Tcp.Socket.Time_wait -> ()
-          | _ -> ignore (Sim.Engine.schedule engine ~after:(Sim.Time.us 100) server_close)
+          | _ -> Sim.Engine.schedule engine ~after:(Sim.Time.us 100) server_close
         in
         server_close ()
       end
-      else ignore (Sim.Engine.schedule engine ~after:(Sim.Time.us 50) drain)
+      else Sim.Engine.schedule engine ~after:(Sim.Time.us 50) drain
     in
     drain ()
   in
@@ -991,10 +989,9 @@ let run (cfg : config) =
              in
              let at = Sim.Time.add (Sim.Engine.now engine) gap in
              if Sim.Time.compare at total <= 0 then
-               ignore
-                 (Sim.Engine.schedule engine ~after:gap (fun () ->
-                      if accepting_count s < ch.max_conns then spawn_one i s crng;
-                      arrivals ()))
+               Sim.Engine.schedule engine ~after:gap (fun () ->
+                   if accepting_count s < ch.max_conns then spawn_one i s crng;
+                   arrivals ())
            in
            arrivals ());
         (if ch.depart_rps > 0.0 then
@@ -1004,12 +1001,11 @@ let run (cfg : config) =
              in
              let at = Sim.Time.add (Sim.Engine.now engine) gap in
              if Sim.Time.compare at total <= 0 then
-               ignore
-                 (Sim.Engine.schedule engine ~after:gap (fun () ->
-                      (if accepting_count s > ch.min_conns then
-                         let k = Sim.Rng.int crng ~bound:(accepting_count s) in
-                         retire_entry s s.rotation.(k));
-                      departures ()))
+               Sim.Engine.schedule engine ~after:gap (fun () ->
+                   (if accepting_count s > ch.min_conns then
+                      let k = Sim.Rng.int crng ~bound:(accepting_count s) in
+                      retire_entry s s.rotation.(k));
+                   departures ())
            in
            departures ());
         List.iter
@@ -1018,45 +1014,43 @@ let run (cfg : config) =
               (match obs with
               | Some o -> Observe.note_edge o ~id:(s.spec.name ^ "/client") ~at
               | None -> ());
-              ignore
-                (Sim.Engine.schedule_at engine ~at (fun () ->
-                     if delta > 0 then
-                       for _ = 1 to delta do
-                         if accepting_count s < ch.max_conns then spawn_one i s crng
-                       done
-                     else
-                       for _ = 1 to -delta do
-                         if accepting_count s > ch.min_conns then
-                           match last_accepting s with
-                           | Some e -> retire_entry s e
-                           | None -> ()
-                       done))
+              Sim.Engine.schedule_at engine ~at (fun () ->
+                  if delta > 0 then
+                    for _ = 1 to delta do
+                      if accepting_count s < ch.max_conns then spawn_one i s crng
+                    done
+                  else
+                    for _ = 1 to -delta do
+                      if accepting_count s > ch.min_conns then
+                        match last_accepting s with
+                        | Some e -> retire_entry s e
+                        | None -> ()
+                    done)
             end)
           ch.script)
     states;
   (* Warmup boundary: close every estimation window, reset the audit,
      capture CPU baselines. *)
   let baseline = ref None in
-  ignore
-    (Sim.Engine.schedule_at engine ~at:warmup_until (fun () ->
-         let at = Sim.Engine.now engine in
-         List.iter
-           (fun s ->
-             iter_entries s ~f:(fun e ->
-                 if not e.retired then
-                   ignore
-                     (E2e.Estimator.estimate (Tcp.Socket.estimator e.csock) ~at)))
-           states;
-         (match obs with
-         | Some o -> Sim.Audit.reset_window (Observe.audit o) ~at
-         | None -> ());
-         baseline :=
-           Some
-             ( Array.init cores (fun k ->
-                   Sim.Cpu.busy_ns (Shard.Pool.cpu pool k)),
-               Array.init cores (fun k ->
-                   Sim.Cpu.busy_ns (Shard.Pool.irq pool k)),
-               List.map (fun s -> Sim.Cpu.busy_ns s.client_cpu) states )));
+  Sim.Engine.schedule_at engine ~at:warmup_until (fun () ->
+      let at = Sim.Engine.now engine in
+      List.iter
+        (fun s ->
+          iter_entries s ~f:(fun e ->
+              if not e.retired then
+                ignore
+                  (E2e.Estimator.estimate (Tcp.Socket.estimator e.csock) ~at)))
+        states;
+      (match obs with
+      | Some o -> Sim.Audit.reset_window (Observe.audit o) ~at
+      | None -> ());
+      baseline :=
+        Some
+          ( Array.init cores (fun k ->
+                Sim.Cpu.busy_ns (Shard.Pool.cpu pool k)),
+            Array.init cores (fun k ->
+                Sim.Cpu.busy_ns (Shard.Pool.irq pool k)),
+            List.map (fun s -> Sim.Cpu.busy_ns s.client_cpu) states ));
   Sim.Engine.run_until engine total;
   let at = Sim.Engine.now engine in
   (match obs with

@@ -256,22 +256,21 @@ let run cfg =
   | Some plan ->
     List.iter
       (fun (s : Fault.Plan.step) ->
-        ignore
-          (Sim.Engine.schedule_at engine
-             ~at:(Sim.Time.ns (int_of_float (s.at_us *. 1e3)))
-             (fun () ->
-               List.iter
-                 (fun conn ->
-                   List.iter
-                     (fun link ->
-                       Option.iter (Tcp.Link.set_gbit_per_s link) s.gbit_per_s;
-                       Option.iter
-                         (fun us ->
-                           Tcp.Link.set_prop_delay link
-                             (Sim.Time.ns (int_of_float (us *. 1e3))))
-                         s.delay_us)
-                     [ Tcp.Conn.link_ab conn; Tcp.Conn.link_ba conn ])
-                 conns)))
+        Sim.Engine.schedule_at engine
+          ~at:(Sim.Time.ns (int_of_float (s.at_us *. 1e3)))
+          (fun () ->
+            List.iter
+              (fun conn ->
+                List.iter
+                  (fun link ->
+                    Option.iter (Tcp.Link.set_gbit_per_s link) s.gbit_per_s;
+                    Option.iter
+                      (fun us ->
+                        Tcp.Link.set_prop_delay link
+                          (Sim.Time.ns (int_of_float (us *. 1e3))))
+                      s.delay_us)
+                  [ Tcp.Conn.link_ab conn; Tcp.Conn.link_ba conn ])
+              conns))
       plan.Fault.Plan.steps
   | None -> ());
   let client_socks = List.map Tcp.Conn.sock_a conns in
@@ -349,17 +348,16 @@ let run cfg =
     List.iter
       (fun (e : Trace.entry) ->
         if Sim.Time.compare e.at total <= 0 then
-          ignore (Sim.Engine.schedule_at engine ~at:e.at (fun () -> issue e.cmd)))
+          Sim.Engine.schedule_at engine ~at:e.at (fun () -> issue e.cmd))
       entries
   | None ->
     let rec schedule_request () =
       let gap = Arrival.next_gap arrival ~now:(Sim.Engine.now engine) in
       let at = Sim.Time.add (Sim.Engine.now engine) gap in
       if Sim.Time.compare at total <= 0 then
-        ignore
-          (Sim.Engine.schedule engine ~after:gap (fun () ->
-               issue (Workload.next_command cfg.workload ~rng:workload_rng);
-               schedule_request ()))
+        Sim.Engine.schedule engine ~after:gap (fun () ->
+            issue (Workload.next_command cfg.workload ~rng:workload_rng);
+            schedule_request ())
     in
     schedule_request ());
   (* Estimation: per-connection estimators (client side), aggregated
@@ -458,9 +456,9 @@ let run cfg =
       Observe.note_sample o s;
       Observe.slo_tick o ~at;
       if Sim.Time.compare (Sim.Time.add at interval) total <= 0 then
-        ignore (Sim.Engine.schedule engine ~after:interval tick)
+        Sim.Engine.schedule engine ~after:interval tick
     in
-    ignore (Sim.Engine.schedule engine ~after:interval tick));
+    Sim.Engine.schedule engine ~after:interval tick);
   (* One control group spanning the whole run — the pre-fleet
      behaviour.  The attach point matters: the observability tick chain
      above is scheduled first, so at coincident instants the sample
@@ -472,31 +470,30 @@ let run cfg =
   in
   (* Warmup boundary: reset estimation windows, capture baselines. *)
   let baseline = ref None in
-  ignore
-    (Sim.Engine.schedule_at engine ~at:warmup_until (fun () ->
-         let at = Sim.Engine.now engine in
-         List.iter (fun e -> ignore (E2e.Estimator.estimate e ~at)) estimators;
-         (match obs with
-         | Some o -> Sim.Audit.reset_window (Observe.audit o) ~at
-         | None -> ());
-         baseline :=
-           Some
-             {
-               b_client_app = Sim.Cpu.busy_ns client_cpu;
-               b_server_app = Sim.Cpu.busy_ns server_cpu;
-               b_client_irq = Sim.Cpu.busy_ns client_irq;
-               b_server_irq = Sim.Cpu.busy_ns server_irq;
-               b_packets =
-                 List.fold_left (fun acc c -> acc + Tcp.Conn.total_packets c) 0 conns;
-               b_hints =
-                 List.map
-                   (fun c -> E2e.Hints.share (Kv.Client.hint_tracker c) ~at)
-                   clients;
-               b_server_hints =
-                 List.map
-                   (fun sock -> Option.map snd (Tcp.Socket.remote_hint_window sock))
-                   server_socks;
-             }));
+  Sim.Engine.schedule_at engine ~at:warmup_until (fun () ->
+      let at = Sim.Engine.now engine in
+      List.iter (fun e -> ignore (E2e.Estimator.estimate e ~at)) estimators;
+      (match obs with
+      | Some o -> Sim.Audit.reset_window (Observe.audit o) ~at
+      | None -> ());
+      baseline :=
+        Some
+          {
+            b_client_app = Sim.Cpu.busy_ns client_cpu;
+            b_server_app = Sim.Cpu.busy_ns server_cpu;
+            b_client_irq = Sim.Cpu.busy_ns client_irq;
+            b_server_irq = Sim.Cpu.busy_ns server_irq;
+            b_packets =
+              List.fold_left (fun acc c -> acc + Tcp.Conn.total_packets c) 0 conns;
+            b_hints =
+              List.map
+                (fun c -> E2e.Hints.share (Kv.Client.hint_tracker c) ~at)
+                clients;
+            b_server_hints =
+              List.map
+                (fun sock -> Option.map snd (Tcp.Socket.remote_hint_window sock))
+                server_socks;
+          });
   Sim.Engine.run_until engine total;
   let at = Sim.Engine.now engine in
   (* Close the Little's-law audit window and put each queue's verdict

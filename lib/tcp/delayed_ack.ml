@@ -4,7 +4,7 @@ type t = {
   max_pending : int;
   send_ack : unit -> unit;
   mutable pending : int;
-  mutable timer : Sim.Engine.handle option;
+  mutable timer : Sim.Engine.timer;  (* made on first arm *)
   mutable by_count : int;
   mutable by_timer : int;
   mutable trace : (Sim.Trace.t * string) option;
@@ -19,7 +19,7 @@ let create engine ?(timeout = Sim.Time.ms 40) ?(max_pending = 2) ~send_ack () =
     max_pending;
     send_ack;
     pending = 0;
-    timer = None;
+    timer = Sim.Engine.unset_timer;
     by_count = 0;
     by_timer = 0;
     trace = None;
@@ -39,24 +39,14 @@ let emit t ev =
   | Some (tr, id) -> Sim.Trace.event tr ~at:(Sim.Engine.now t.engine) ~id ev
   | None -> ()
 
-let disarm t =
-  match t.timer with
-  | Some h ->
-    Sim.Engine.cancel t.engine h;
-    t.timer <- None
-  | None -> ()
-
 let on_ack_sent t =
-  (* An armed timer that never fires: the ack went out another way.
-     [Sim.Engine.handle] carries a closure, so only [Option.is_some]
-     may touch it — structural comparison would be a trap. *)
-  if Option.is_some t.timer && t.pending > 0 && tracing t then
+  (* An armed timer that never fires: the ack went out another way. *)
+  if Sim.Engine.armed t.timer && t.pending > 0 && tracing t then
     emit t (Sim.Trace.Delack_cancel { pending = t.pending });
   t.pending <- 0;
-  disarm t
+  Sim.Engine.disarm t.engine t.timer
 
 let fire t =
-  t.timer <- None;
   if t.pending > 0 then begin
     t.by_timer <- t.by_timer + 1;
     if tracing t then emit t (Sim.Trace.Delack_fire { pending = t.pending });
@@ -71,10 +61,12 @@ let on_data_segment t =
     t.by_count <- t.by_count + 1;
     t.send_ack ()
   end
-  else if Option.is_none t.timer then
-    t.timer <- Some (Sim.Engine.schedule t.engine ~after:t.timeout (fun () -> fire t))
+  else if not (Sim.Engine.armed t.timer) then begin
+    if t.timer == Sim.Engine.unset_timer then t.timer <- Sim.Engine.timer (fun () -> fire t);
+    Sim.Engine.arm t.engine t.timer ~after:t.timeout
+  end
 
 let pending t = t.pending
-let timer_armed t = Option.is_some t.timer
+let timer_armed t = Sim.Engine.armed t.timer
 let acks_forced_by_count t = t.by_count
 let acks_forced_by_timer t = t.by_timer

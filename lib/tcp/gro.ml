@@ -14,7 +14,7 @@ type t = {
   deliver : Segment.t list -> unit;
   held : Segment.t Queue.t;
   mutable held_bytes : int;
-  mutable timer : Sim.Engine.handle option;
+  mutable timer : Sim.Engine.timer;  (* made on first arm *)
   mutable batches : int;
   mutable segments : int;
 }
@@ -28,20 +28,13 @@ let create engine cfg ~deliver =
     deliver;
     held = Queue.create ();
     held_bytes = 0;
-    timer = None;
+    timer = Sim.Engine.unset_timer;
     batches = 0;
     segments = 0;
   }
 
-let disarm t =
-  match t.timer with
-  | Some h ->
-    Sim.Engine.cancel t.engine h;
-    t.timer <- None
-  | None -> ()
-
 let flush t =
-  disarm t;
+  Sim.Engine.disarm t.engine t.timer;
   if not (Queue.is_empty t.held) then begin
     let batch = List.of_seq (Queue.to_seq t.held) in
     Queue.clear t.held;
@@ -49,15 +42,6 @@ let flush t =
     t.batches <- t.batches + 1;
     t.deliver batch
   end
-
-let arm t =
-  (* handle options hold closures: [Option.is_none], never [= None] *)
-  if Option.is_none t.timer then
-    t.timer <-
-      Some
-        (Sim.Engine.schedule t.engine ~after:t.cfg.flush_timeout (fun () ->
-             t.timer <- None;
-             flush t))
 
 let submit t seg =
   t.segments <- t.segments + 1;
@@ -72,7 +56,12 @@ let submit t seg =
     t.held_bytes <- t.held_bytes + len;
     (* Only a full-sized data segment can keep a batch open; short
        tails and pure acks terminate it. *)
-    if len < t.cfg.mss then flush t else arm t
+    if len < t.cfg.mss then flush t
+    else if not (Sim.Engine.armed t.timer) then begin
+      if t.timer == Sim.Engine.unset_timer then
+        t.timer <- Sim.Engine.timer (fun () -> flush t);
+      Sim.Engine.arm t.engine t.timer ~after:t.cfg.flush_timeout
+    end
   end
 
 let pending t = Queue.length t.held

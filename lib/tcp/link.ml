@@ -92,7 +92,7 @@ let send ?(seq = -1) t ~wire_bytes k =
   else begin
     match t.fault with
     | None ->
-      ignore (Sim.Engine.schedule_at t.engine ~at:(Sim.Time.add done_tx t.prop_delay) k)
+      Sim.Engine.schedule_at t.engine ~at:(Sim.Time.add done_tx t.prop_delay) k
     | Some inj -> (
       match Fault.Injector.decide inj ~now_us:(Sim.Time.to_us now) with
       | { action = Drop reason; _ } ->
@@ -111,14 +111,13 @@ let send ?(seq = -1) t ~wire_bytes k =
           end
           else arrival
         in
-        ignore (Sim.Engine.schedule_at t.engine ~at:arrival k);
+        Sim.Engine.schedule_at t.engine ~at:arrival k;
         if duplicate then begin
           if tracing t then emit t ~at:now (Sim.Trace.Segment_duplicated { seq });
           (* The copy trails by a microsecond — far enough apart to be
              two deliveries, close enough to stress duplicate
              detection. *)
-          ignore
-            (Sim.Engine.schedule_at t.engine ~at:(Sim.Time.add arrival (Sim.Time.us 1)) k)
+          Sim.Engine.schedule_at t.engine ~at:(Sim.Time.add arrival (Sim.Time.us 1)) k
         end)
   end
 

@@ -110,13 +110,13 @@ type t = {
   mutable cork_kick_armed : bool;
   (* reliability *)
   retx : retx_entry Queue.t;
-  mutable rto_timer : Sim.Engine.handle option;
+  mutable rto_timer : Sim.Engine.timer;
   mutable rto_backoff : int;
   mutable recover : int;  (* recovery episode: snd_nxt at episode entry *)
   mutable retx_next : int;  (* hole recovery: next sequence to resend *)
   mutable dup_acks : int;
   (* zero-window persist probing *)
-  mutable persist_timer : Sim.Engine.handle option;
+  mutable persist_timer : Sim.Engine.timer;
   mutable persist_backoff : int;
   (* window scaling: [None] = idealized full-width windows; [Some s] =
      every advertised window is quantized through a 16-bit field
@@ -203,12 +203,12 @@ let create ?(label = "sock") engine cfg =
     cork_signal = (fun () -> None);
     cork_kick_armed = false;
     retx = Queue.create ();
-    rto_timer = None;
+    rto_timer = Sim.Engine.unset_timer;
     rto_backoff = 0;
     recover = 0;
     retx_next = 0;
     dup_acks = 0;
-    persist_timer = None;
+    persist_timer = Sim.Engine.unset_timer;
     persist_backoff = 0;
     snd_wscale = offered_wscale cfg;
     max_snd_wnd = cfg.rcv_buf;
@@ -376,27 +376,9 @@ let current_rto t =
   let scaled = base lsl Stdlib.min t.rto_backoff 6 in
   Stdlib.min scaled Rtt.max_rto
 
-let cancel_rto t =
-  match t.rto_timer with
-  | Some h ->
-    Sim.Engine.cancel t.engine h;
-    t.rto_timer <- None
-  | None -> ()
+let cancel_rto t = Sim.Engine.disarm t.engine t.rto_timer
 
-(* [Sim.Engine.handle] values carry closures, so they must only ever
-   meet [Option.is_none]/[is_some] — structural [= None] would raise
-   [Invalid_argument] the day the compiler stops short-circuiting on
-   the constructor. *)
-let rec arm_rto t =
-  if Option.is_none t.rto_timer && in_flight t > 0 then
-    t.rto_timer <-
-      Some (Sim.Engine.schedule t.engine ~after:(current_rto t) (fun () -> on_rto t))
-
-and restart_rto t =
-  cancel_rto t;
-  arm_rto t
-
-and retransmit_head t ~counter =
+let retransmit_head t ~counter =
   match Queue.peek_opt t.retx with
   | None -> ()
   | Some entry ->
@@ -410,8 +392,23 @@ and retransmit_head t ~counter =
     put_on_wire t ~fin:entry.r_fin ~seq:entry.r_seq ~payload:entry.r_payload
       ~push:entry.r_push ~msg_ends:entry.r_msg_ends
 
+(* The timer is made on first use: most sockets of a large fleet never
+   send, so never arm it. *)
+let rec rto_timer t =
+  if t.rto_timer == Sim.Engine.unset_timer then
+    t.rto_timer <- Sim.Engine.timer (fun () -> on_rto t);
+  t.rto_timer
+
+and arm_rto t =
+  if (not (Sim.Engine.armed t.rto_timer)) && in_flight t > 0 then
+    Sim.Engine.arm t.engine (rto_timer t) ~after:(current_rto t)
+
+(* The per-ACK restart: re-arming moves the queued timer in place. *)
+and restart_rto t =
+  if in_flight t > 0 then Sim.Engine.arm t.engine (rto_timer t) ~after:(current_rto t)
+  else cancel_rto t
+
 and on_rto t =
-  t.rto_timer <- None;
   if in_flight t > 0 then begin
     (* Loss signal: collapse the congestion window and back off. *)
     if t.cfg.cc_enabled then begin
@@ -437,12 +434,7 @@ and on_rto t =
 
 (* {2 Zero-window persist timer} *)
 
-let cancel_persist t =
-  match t.persist_timer with
-  | Some h ->
-    Sim.Engine.cancel t.engine h;
-    t.persist_timer <- None
-  | None -> ()
+let cancel_persist t = Sim.Engine.disarm t.engine t.persist_timer
 
 (* The persist timer runs exactly when the connection would otherwise
    be deaf: data queued, nothing in flight (so no RTO), and the peer's
@@ -513,14 +505,13 @@ let consume_boundaries t ~upto =
   (!ends, !push)
 
 let rec arm_persist t =
-  if Option.is_none t.persist_timer && persist_due t then
-    t.persist_timer <-
-      Some
-        (Sim.Engine.schedule t.engine ~after:(current_persist_timeout t)
-           (fun () -> on_persist t))
+  if (not (Sim.Engine.armed t.persist_timer)) && persist_due t then begin
+    if t.persist_timer == Sim.Engine.unset_timer then
+      t.persist_timer <- Sim.Engine.timer (fun () -> on_persist t);
+    Sim.Engine.arm t.engine t.persist_timer ~after:(current_persist_timeout t)
+  end
 
 and on_persist t =
-  t.persist_timer <- None;
   if persist_due t && t.persist_backoff < max_persist_probes then begin
     t.persist_backoff <- t.persist_backoff + 1;
     t.probes_sent <- t.probes_sent + 1;
@@ -568,10 +559,9 @@ and try_transmit t =
           if tracing t then event t (Sim.Trace.Cork_hold { chunk });
           if not t.cork_kick_armed then begin
             t.cork_kick_armed <- true;
-            ignore
-              (Sim.Engine.schedule_at t.engine ~at:free_at (fun () ->
-                   t.cork_kick_armed <- false;
-                   try_transmit t))
+            Sim.Engine.schedule_at t.engine ~at:free_at (fun () ->
+                t.cork_kick_armed <- false;
+                try_transmit t)
           end
         | _ ->
           let payload = Bytebuf.take t.sndbuf chunk in
@@ -658,9 +648,8 @@ let rx_units t ~len ~msg_ends =
 let enter_time_wait t =
   t.conn_state <- Time_wait;
   (* 2MSL stand-in: twice the RTO floor is plenty at simulation scale *)
-  ignore
-    (Sim.Engine.schedule t.engine ~after:(2 * Rtt.min_rto) (fun () ->
-         if t.conn_state = Time_wait then t.conn_state <- Closed))
+  Sim.Engine.schedule t.engine ~after:(2 * Rtt.min_rto) (fun () ->
+      if t.conn_state = Time_wait then t.conn_state <- Closed)
 
 (* {2 Acknowledgment processing (sender side)} *)
 
@@ -877,7 +866,7 @@ let process_ack t (seg : Segment.t) ~at =
   if seg.window > 0 then begin
     (* the peer's window opened (or was never shut): any persist
        episode is over *)
-    if Option.is_some t.persist_timer then cancel_persist t;
+    cancel_persist t;
     t.persist_backoff <- 0
   end
 

@@ -228,9 +228,8 @@ let test_link_drop_events () =
   let engine, link, inj, trace = link_fixture side in
   let arrived = ref 0 in
   for i = 0 to 999 do
-    ignore
-      (Sim.Engine.schedule_at engine ~at:(us (i * 10)) (fun () ->
-           Tcp.Link.send ~seq:i link ~wire_bytes:100 (fun () -> incr arrived)))
+    Sim.Engine.schedule_at engine ~at:(us (i * 10)) (fun () ->
+        Tcp.Link.send ~seq:i link ~wire_bytes:100 (fun () -> incr arrived))
   done;
   Sim.Engine.run engine;
   Alcotest.(check int) "conservation" 1000 (!arrived + Tcp.Link.dropped link);
@@ -260,10 +259,9 @@ let test_link_reorder_events () =
   let order = ref [] in
   let link2 = _link in
   for i = 0 to 199 do
-    ignore
-      (Sim.Engine.schedule_at engine_link ~at:(us (i * 10)) (fun () ->
-           Tcp.Link.send ~seq:i link2 ~wire_bytes:100 (fun () ->
-               order := i :: !order)))
+    Sim.Engine.schedule_at engine_link ~at:(us (i * 10)) (fun () ->
+        Tcp.Link.send ~seq:i link2 ~wire_bytes:100 (fun () ->
+            order := i :: !order))
   done;
   Sim.Engine.run engine;
   let order = List.rev !order in
@@ -292,9 +290,8 @@ let test_link_duplicate_events () =
   let engine, link, inj, trace = link_fixture side in
   let arrived = ref 0 in
   for i = 0 to 499 do
-    ignore
-      (Sim.Engine.schedule_at engine ~at:(us (i * 10)) (fun () ->
-           Tcp.Link.send ~seq:i link ~wire_bytes:100 (fun () -> incr arrived)))
+    Sim.Engine.schedule_at engine ~at:(us (i * 10)) (fun () ->
+        Tcp.Link.send ~seq:i link ~wire_bytes:100 (fun () -> incr arrived))
   done;
   Sim.Engine.run engine;
   Alcotest.(check int) "arrivals = sends + duplicates"

@@ -35,23 +35,22 @@ let prop_socket_stream_integrity =
       List.iter
         (fun (len, action) ->
           clock := !clock + Sim.Rng.int rng ~bound:50_000 + 1;
-          ignore
-            (Sim.Engine.schedule_at engine ~at:!clock (fun () ->
-                 (match action with
-                 | 0 -> Tcp.Socket.set_nagle_enabled a true
-                 | 1 -> Tcp.Socket.set_nagle_enabled a false
-                 | 2 ->
-                   Tcp.Nagle.set_min_send (Tcp.Socket.nagle a)
-                     (Some (1 + Sim.Rng.int rng ~bound:1448))
-                 | _ -> Tcp.Nagle.set_min_send (Tcp.Socket.nagle a) None);
-                 Tcp.Socket.kick a;
-                 if len > 0 then begin
-                   let chunk =
-                     String.init len (fun i -> Char.chr ((i * 7 + len) mod 256))
-                   in
-                   Buffer.add_string sent chunk;
-                   Tcp.Socket.send a chunk
-                 end)))
+          Sim.Engine.schedule_at engine ~at:!clock (fun () ->
+              (match action with
+              | 0 -> Tcp.Socket.set_nagle_enabled a true
+              | 1 -> Tcp.Socket.set_nagle_enabled a false
+              | 2 ->
+                Tcp.Nagle.set_min_send (Tcp.Socket.nagle a)
+                  (Some (1 + Sim.Rng.int rng ~bound:1448))
+              | _ -> Tcp.Nagle.set_min_send (Tcp.Socket.nagle a) None);
+              Tcp.Socket.kick a;
+              if len > 0 then begin
+                let chunk =
+                  String.init len (fun i -> Char.chr ((i * 7 + len) mod 256))
+                in
+                Buffer.add_string sent chunk;
+                Tcp.Socket.send a chunk
+              end))
         ops;
       Sim.Engine.run engine;
       String.equal (Buffer.contents sent) (Buffer.contents received))
@@ -171,11 +170,10 @@ let prop_gro_conserves_segments =
           clock := !clock + Sim.Time.us gap_us;
           let this_seq = !seq in
           seq := !seq + len;
-          ignore
-            (Sim.Engine.schedule_at engine ~at:!clock (fun () ->
-                 Tcp.Gro.submit gro
-                   (Tcp.Segment.make ~payload:(String.make len 'x') ~seq:this_seq ~ack:0
-                      ~window:65536 ()))))
+          Sim.Engine.schedule_at engine ~at:!clock (fun () ->
+              Tcp.Gro.submit gro
+                (Tcp.Segment.make ~payload:(String.make len 'x') ~seq:this_seq ~ack:0
+                   ~window:65536 ())))
         segs;
       Sim.Engine.run engine;
       Tcp.Gro.flush gro;

@@ -81,13 +81,12 @@ let test_counter_log_agrees_with_inband () =
       ~local:(E2e.Estimator.local_snapshot (Tcp.Socket.estimator a) ~at)
       ~remote:(E2e.Estimator.local_snapshot (Tcp.Socket.estimator b) ~at);
     if Sim.Time.compare at (Sim.Time.ms 40) < 0 then
-      ignore (Sim.Engine.schedule engine ~after:(Sim.Time.ms 2) poll)
+      Sim.Engine.schedule engine ~after:(Sim.Time.ms 2) poll
   in
   poll ();
   for i = 0 to 400 do
-    ignore
-      (Sim.Engine.schedule_at engine ~at:(us (i * 100)) (fun () ->
-           Tcp.Socket.send a (String.make 1000 'x')))
+    Sim.Engine.schedule_at engine ~at:(us (i * 100)) (fun () ->
+        Tcp.Socket.send a (String.make 1000 'x'))
   done;
   Sim.Engine.run_until engine (Sim.Time.ms 42);
   let offline =

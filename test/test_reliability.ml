@@ -64,11 +64,10 @@ let test_request_response_under_loss () =
   Tcp.Socket.on_readable a (collect_into echoed a);
   let sent = Buffer.create 4096 in
   for i = 0 to 99 do
-    ignore
-      (Sim.Engine.schedule_at engine ~at:(us (i * 200)) (fun () ->
-           let chunk = String.make (100 + (i mod 900)) (Char.chr (65 + (i mod 26))) in
-           Buffer.add_string sent chunk;
-           Tcp.Socket.send a chunk))
+    Sim.Engine.schedule_at engine ~at:(us (i * 200)) (fun () ->
+        let chunk = String.make (100 + (i mod 900)) (Char.chr (65 + (i mod 26))) in
+        Buffer.add_string sent chunk;
+        Tcp.Socket.send a chunk)
   done;
   Sim.Engine.run engine;
   Alcotest.(check int) "every byte echoed back" (Buffer.length sent)
@@ -196,9 +195,8 @@ let prop_stream_integrity_under_loss =
       for i = 1 to nwrites do
         let chunk = String.make (1 + (i * 997 mod 5000)) (Char.chr (97 + (i mod 26))) in
         Buffer.add_string sent chunk;
-        ignore
-          (Sim.Engine.schedule_at engine ~at:(us (i * 100)) (fun () ->
-               Tcp.Socket.send a chunk))
+        Sim.Engine.schedule_at engine ~at:(us (i * 100)) (fun () ->
+            Tcp.Socket.send a chunk)
       done;
       Sim.Engine.run engine;
       String.equal (Buffer.contents sent) (Buffer.contents received))
@@ -209,9 +207,8 @@ let test_estimator_consistent_under_loss () =
   let a = Tcp.Conn.sock_a conn and b = Tcp.Conn.sock_b conn in
   Tcp.Socket.on_readable b (fun () -> ignore (drain b));
   for i = 0 to 99 do
-    ignore
-      (Sim.Engine.schedule_at engine ~at:(us (i * 500)) (fun () ->
-           Tcp.Socket.send a (String.make 2000 'e')))
+    Sim.Engine.schedule_at engine ~at:(us (i * 500)) (fun () ->
+        Tcp.Socket.send a (String.make 2000 'e'))
   done;
   Sim.Engine.run engine;
   let ea = Tcp.Socket.estimator a and eb = Tcp.Socket.estimator b in

@@ -213,12 +213,11 @@ let test_rpc_hints_measure_end_to_end () =
   let prev = Rpc.Client.hint_share client ~at:(Sim.Engine.now engine) in
   let sum = ref 0 and n = ref 0 in
   for i = 0 to 199 do
-    ignore
-      (Sim.Engine.schedule_at engine ~at:(Sim.Time.us (i * 50)) (fun () ->
-           Rpc.Client.call client ~meth:"work" ~payload:(String.make 500 'w')
-             ~on_reply:(fun ~latency _ ->
-               sum := !sum + latency;
-               incr n)))
+    Sim.Engine.schedule_at engine ~at:(Sim.Time.us (i * 50)) (fun () ->
+        Rpc.Client.call client ~meth:"work" ~payload:(String.make 500 'w')
+          ~on_reply:(fun ~latency _ ->
+            sum := !sum + latency;
+            incr n))
   done;
   Sim.Engine.run engine;
   let measured = float_of_int !sum /. float_of_int !n in
@@ -256,9 +255,8 @@ let test_rpc_server_sees_client_hints () =
       ~socket:(Tcp.Conn.sock_a conn) Rpc.Client.default_config
   in
   for i = 0 to 49 do
-    ignore
-      (Sim.Engine.schedule_at engine ~at:(Sim.Time.us (i * 100)) (fun () ->
-           Rpc.Client.call client ~meth:"noop" ~payload:"x" ~on_reply:(fun ~latency:_ _ -> ())))
+    Sim.Engine.schedule_at engine ~at:(Sim.Time.us (i * 100)) (fun () ->
+        Rpc.Client.call client ~meth:"noop" ~payload:"x" ~on_reply:(fun ~latency:_ _ -> ()))
   done;
   Sim.Engine.run engine;
   match Tcp.Socket.remote_hint_window (Tcp.Conn.sock_b conn) with

@@ -1,4 +1,4 @@
-(* Tests for the simulation substrate: time, heap, engine, rng, stats,
+(* Tests for the simulation substrate: time, event heap, engine, rng, stats,
    cpu, trace. *)
 
 let check_float = Alcotest.(check (float 1e-9))
@@ -26,67 +26,9 @@ let test_time_pp () =
   Alcotest.(check string) "ms" "2.00ms" (Sim.Time.to_string 2_000_000);
   Alcotest.(check string) "s" "1.000s" (Sim.Time.to_string 1_000_000_000)
 
-(* {1 Heap} *)
-
-let test_heap_basic () =
-  let h = Sim.Heap.create ~cmp:Int.compare in
-  Alcotest.(check bool) "empty" true (Sim.Heap.is_empty h);
-  List.iter (Sim.Heap.push h) [ 5; 3; 8; 1; 9; 2 ];
-  Alcotest.(check int) "length" 6 (Sim.Heap.length h);
-  Alcotest.(check (option int)) "peek" (Some 1) (Sim.Heap.peek h);
-  let order = List.init 6 (fun _ -> Sim.Heap.pop_exn h) in
-  Alcotest.(check (list int)) "sorted pops" [ 1; 2; 3; 5; 8; 9 ] order;
-  Alcotest.(check (option int)) "pop empty" None (Sim.Heap.pop h)
-
-let test_heap_pop_exn_empty () =
-  let h = Sim.Heap.create ~cmp:Int.compare in
-  Alcotest.check_raises "pop_exn" (Invalid_argument "Heap.pop_exn: empty heap")
-    (fun () -> ignore (Sim.Heap.pop_exn h))
-
-let test_heap_clear () =
-  let h = Sim.Heap.create ~cmp:Int.compare in
-  List.iter (Sim.Heap.push h) [ 3; 1; 2 ];
-  Sim.Heap.clear h;
-  Alcotest.(check bool) "cleared" true (Sim.Heap.is_empty h);
-  Sim.Heap.push h 7;
-  Alcotest.(check (option int)) "usable after clear" (Some 7) (Sim.Heap.pop h)
-
-let prop_heap_sorted =
-  QCheck.Test.make ~name:"heap pops in sorted order" ~count:200
-    QCheck.(list int)
-    (fun xs ->
-      let h = Sim.Heap.create ~cmp:Int.compare in
-      List.iter (Sim.Heap.push h) xs;
-      let popped = List.init (List.length xs) (fun _ -> Sim.Heap.pop_exn h) in
-      popped = List.sort Int.compare xs)
-
-(* [pop] must overwrite the vacated slot: a popped element may be the
-   only reference keeping a large closure graph alive.  The weak pointer
-   sees through the heap's backing array — if the slot were retained the
-   element would survive a full major collection. *)
-let test_heap_pop_releases_slot () =
-  let h = Sim.Heap.create ~cmp:(fun (a, _) (b, _) -> Int.compare a b) in
-  let w = Weak.create 2 in
-  (* build, push and pop inside a closure so no stack slot pins them *)
-  (fun () ->
-    let p0 = ref 0 and p1 = ref 1 in
-    Weak.set w 0 (Some p0);
-    Weak.set w 1 (Some p1);
-    Sim.Heap.push h (1, p0);
-    Sim.Heap.push h (2, p1);
-    ignore (Sim.Heap.pop h);
-    ignore (Sim.Heap.pop h))
-    ();
-  Alcotest.(check bool) "drained" true (Sim.Heap.is_empty h);
-  Gc.full_major ();
-  Alcotest.(check bool) "first popped element collectable" false (Weak.check w 0);
-  (* the full-drain case: popping the last element must not leave it in
-     the shrunk-to-empty backing array *)
-  Alcotest.(check bool) "last popped element collectable" false (Weak.check w 1)
-
 (* {1 Event heap} *)
 
-let ev_at at action = { Sim.Event_heap.at; seq = at; action; cancelled = false }
+let ev_at at action = { Sim.Event_heap.at; seq = at; action; pos = -1 }
 
 let test_event_heap_order_and_sentinel () =
   let h = Sim.Event_heap.create () in
@@ -97,12 +39,12 @@ let test_event_heap_order_and_sentinel () =
   let order = List.init 4 (fun _ -> (Sim.Event_heap.take h).Sim.Event_heap.at) in
   Alcotest.(check (list int)) "take drains in order" [ 1; 3; 5; 8 ] order;
   Alcotest.(check bool) "drained" true (Sim.Event_heap.is_empty h);
-  (* past empty, top/take return the per-heap cancelled sentinel instead
-     of raising or boxing an option *)
-  Alcotest.(check bool) "sentinel is cancelled" true
-    (Sim.Event_heap.top h).Sim.Event_heap.cancelled;
-  Alcotest.(check bool) "take past empty is sentinel" true
-    (Sim.Event_heap.take h).Sim.Event_heap.cancelled
+  (* past empty, top/take return the per-heap, never-queued sentinel
+     instead of raising or boxing an option *)
+  Alcotest.(check bool) "sentinel is not queued" false
+    (Sim.Event_heap.queued (Sim.Event_heap.top h));
+  Alcotest.(check bool) "take past empty is sentinel" false
+    (Sim.Event_heap.queued (Sim.Event_heap.take h))
 
 let test_event_heap_take_releases_action () =
   let h = Sim.Event_heap.create () in
@@ -146,9 +88,9 @@ let test_engine_ordering () =
   let e = Sim.Engine.create () in
   let log = ref [] in
   let note tag () = log := tag :: !log in
-  ignore (Sim.Engine.schedule e ~after:(Sim.Time.us 30) (note "c"));
-  ignore (Sim.Engine.schedule e ~after:(Sim.Time.us 10) (note "a"));
-  ignore (Sim.Engine.schedule e ~after:(Sim.Time.us 20) (note "b"));
+  Sim.Engine.schedule e ~after:(Sim.Time.us 30) (note "c");
+  Sim.Engine.schedule e ~after:(Sim.Time.us 10) (note "a");
+  Sim.Engine.schedule e ~after:(Sim.Time.us 20) (note "b");
   Sim.Engine.run e;
   Alcotest.(check (list string)) "time order" [ "a"; "b"; "c" ] (List.rev !log);
   Alcotest.(check int) "clock at last event" (Sim.Time.us 30) (Sim.Engine.now e)
@@ -157,32 +99,208 @@ let test_engine_fifo_ties () =
   let e = Sim.Engine.create () in
   let log = ref [] in
   for i = 1 to 5 do
-    ignore
-      (Sim.Engine.schedule e ~after:(Sim.Time.us 10) (fun () -> log := i :: !log))
+    Sim.Engine.schedule e ~after:(Sim.Time.us 10) (fun () -> log := i :: !log)
   done;
   Sim.Engine.run e;
   Alcotest.(check (list int)) "FIFO among ties" [ 1; 2; 3; 4; 5 ] (List.rev !log)
 
+(* Timers: a disarmed timer leaves the queue at once and never fires. *)
 let test_engine_cancel () =
   let e = Sim.Engine.create () in
   let fired = ref false in
-  let h = Sim.Engine.schedule e ~after:(Sim.Time.us 10) (fun () -> fired := true) in
-  Sim.Engine.cancel e h;
+  let tm = Sim.Engine.timer (fun () -> fired := true) in
+  Sim.Engine.arm e tm ~after:(Sim.Time.us 10);
+  Alcotest.(check bool) "armed" true (Sim.Engine.armed tm);
+  Sim.Engine.disarm e tm;
+  Alcotest.(check bool) "disarmed" false (Sim.Engine.armed tm);
   Alcotest.(check int) "pending drops" 0 (Sim.Engine.pending e);
   Sim.Engine.run e;
   Alcotest.(check bool) "did not fire" false !fired;
-  (* double cancel is a no-op *)
-  Sim.Engine.cancel e h
+  (* double disarm is a no-op *)
+  Sim.Engine.disarm e tm;
+  Alcotest.(check int) "still none pending" 0 (Sim.Engine.pending e)
+
+let test_timer_rearm_moves_deadline () =
+  let e = Sim.Engine.create () in
+  let log = ref [] in
+  let tm = Sim.Engine.timer (fun () -> log := ("t", Sim.Engine.now e) :: !log) in
+  Sim.Engine.arm e tm ~after:(Sim.Time.us 10);
+  Sim.Engine.schedule e ~after:(Sim.Time.us 20) (fun () ->
+      log := ("s", Sim.Engine.now e) :: !log);
+  (* re-arm later: the timer now fires after the one-shot at 20 us *)
+  Sim.Engine.arm e tm ~after:(Sim.Time.us 30);
+  Alcotest.(check int) "one queued copy" 2 (Sim.Engine.pending e);
+  Sim.Engine.run e;
+  Alcotest.(check (list (pair string int)))
+    "moved deadline"
+    [ ("s", Sim.Time.us 20); ("t", Sim.Time.us 30) ]
+    (List.rev !log);
+  (* re-arming at an instant shared with a queued event takes its FIFO
+     place as of the re-arm, like a fresh schedule *)
+  log := [];
+  Sim.Engine.arm e tm ~after:(Sim.Time.us 5);
+  Sim.Engine.schedule e ~after:(Sim.Time.us 5) (fun () ->
+      log := ("s", Sim.Engine.now e) :: !log);
+  Sim.Engine.arm e tm ~after:(Sim.Time.us 5);
+  Sim.Engine.run e;
+  Alcotest.(check (list string)) "re-arm goes behind" [ "s"; "t" ] (List.rev_map fst !log)
+
+(* A fired timer is no longer queued, so disarming it must not touch
+   the pending count (lazy cancellation once drove it to -1 here). *)
+let test_timer_disarm_after_fire () =
+  let e = Sim.Engine.create () in
+  let fires = ref 0 in
+  let tm = Sim.Engine.timer (fun () -> incr fires) in
+  Sim.Engine.arm e tm ~after:0;
+  Alcotest.(check bool) "fired" true (Sim.Engine.step e);
+  Alcotest.(check bool) "not armed after firing" false (Sim.Engine.armed tm);
+  Sim.Engine.disarm e tm;
+  Alcotest.(check int) "pending stays 0" 0 (Sim.Engine.pending e);
+  Sim.Engine.schedule e ~after:0 ignore;
+  Sim.Engine.disarm e tm;
+  Alcotest.(check int) "unrelated event still pending" 1 (Sim.Engine.pending e);
+  Sim.Engine.arm e tm ~after:0;
+  Sim.Engine.run e;
+  Alcotest.(check int) "re-armed after firing" 2 !fires
+
+let test_unset_timer () =
+  let e = Sim.Engine.create () in
+  Alcotest.(check bool) "not armed" false (Sim.Engine.armed Sim.Engine.unset_timer);
+  Sim.Engine.disarm e Sim.Engine.unset_timer;
+  Alcotest.check_raises "cannot be armed"
+    (Invalid_argument "Engine.arm: unset_timer cannot be armed") (fun () ->
+      Sim.Engine.arm e Sim.Engine.unset_timer ~after:0);
+  Alcotest.(check int) "nothing queued" 0 (Sim.Engine.pending e)
+
+let test_timer_action_can_rearm () =
+  let e = Sim.Engine.create () in
+  let fires = ref [] in
+  let rec tm =
+    lazy
+      (Sim.Engine.timer (fun () ->
+           fires := Sim.Engine.now e :: !fires;
+           if List.length !fires < 3 then
+             Sim.Engine.arm e (Lazy.force tm) ~after:(Sim.Time.us 10)))
+  in
+  Sim.Engine.arm e (Lazy.force tm) ~after:(Sim.Time.us 10);
+  Sim.Engine.run e;
+  Alcotest.(check (list int)) "periodic" [ 10_000; 20_000; 30_000 ] (List.rev !fires)
+
+(* {2 Model check}
+
+   Random schedule/arm/re-arm/disarm/step/run_until sequences against a
+   sorted-list reference queue keyed by (deadline, seq). *)
+
+type label = S of int | T of int
+
+type op =
+  | Schedule of int
+  | Arm of int * int
+  | Disarm of int
+  | Step
+  | Run_until of int
+
+let n_timers = 3
+
+let show_op = function
+  | Schedule d -> Printf.sprintf "schedule %d" d
+  | Arm (k, d) -> Printf.sprintf "arm t%d %d" k d
+  | Disarm k -> Printf.sprintf "disarm t%d" k
+  | Step -> "step"
+  | Run_until d -> Printf.sprintf "run_until +%d" d
+
+let gen_op =
+  QCheck.Gen.(
+    frequency
+      [
+        (3, map (fun d -> Schedule d) (int_bound 40));
+        (4, map2 (fun k d -> Arm (k, d)) (int_bound (n_timers - 1)) (int_bound 40));
+        (2, map (fun k -> Disarm k) (int_bound (n_timers - 1)));
+        (3, return Step);
+        (1, map (fun d -> Run_until d) (int_bound 50));
+      ])
+
+let prop_engine_model =
+  QCheck.Test.make ~count:500 ~name:"engine matches a sorted-list model"
+    QCheck.(make ~print:(Print.list show_op) Gen.(list_size (0 -- 80) gen_op))
+    (fun ops ->
+      let e = Sim.Engine.create () in
+      let fired = ref [] in
+      let timers =
+        Array.init n_timers (fun k -> Sim.Engine.timer (fun () -> fired := T k :: !fired))
+      in
+      (* the model: queued (deadline, seq, label), sorted *)
+      let queue = ref [] and clock = ref 0 and seq = ref 0 in
+      let expected = ref [] and next_id = ref 0 in
+      let insert at label =
+        queue := List.merge compare !queue [ (at, !seq, label) ];
+        incr seq
+      in
+      let unqueue k = queue := List.filter (fun (_, _, l) -> l <> T k) !queue in
+      let fire_next () =
+        match !queue with
+        | (at, _, l) :: rest ->
+          queue := rest;
+          clock := at;
+          expected := l :: !expected
+        | [] -> ()
+      in
+      let rec fire_through deadline =
+        match !queue with
+        | (at, _, _) :: _ when at <= deadline ->
+          fire_next ();
+          fire_through deadline
+        | _ -> ()
+      in
+      List.iter
+        (fun op ->
+          (match op with
+          | Schedule d ->
+            let id = !next_id in
+            incr next_id;
+            Sim.Engine.schedule e ~after:d (fun () -> fired := S id :: !fired);
+            insert (!clock + d) (S id)
+          | Arm (k, d) ->
+            Sim.Engine.arm e timers.(k) ~after:d;
+            unqueue k;
+            insert (!clock + d) (T k)
+          | Disarm k ->
+            Sim.Engine.disarm e timers.(k);
+            unqueue k
+          | Step ->
+            if Sim.Engine.step e <> (!queue <> []) then
+              QCheck.Test.fail_report "step disagrees on an empty queue";
+            fire_next ()
+          | Run_until d ->
+            let deadline = !clock + d in
+            Sim.Engine.run_until e deadline;
+            fire_through deadline;
+            clock := max !clock deadline);
+          Sim.Engine.check e;
+          if !fired <> !expected then
+            QCheck.Test.fail_reportf "firing order diverged after %s" (show_op op);
+          if Sim.Engine.pending e <> List.length !queue then
+            QCheck.Test.fail_reportf "pending %d, model %d after %s"
+              (Sim.Engine.pending e) (List.length !queue) (show_op op);
+          if Sim.Engine.now e <> !clock then
+            QCheck.Test.fail_reportf "clock %d, model %d after %s" (Sim.Engine.now e)
+              !clock (show_op op);
+          Array.iteri
+            (fun k tm ->
+              if Sim.Engine.armed tm <> List.exists (fun (_, _, l) -> l = T k) !queue then
+                QCheck.Test.fail_reportf "t%d armed flag wrong after %s" k (show_op op))
+            timers)
+        ops;
+      true)
 
 let test_engine_schedule_from_callback () =
   let e = Sim.Engine.create () in
   let log = ref [] in
-  ignore
-    (Sim.Engine.schedule e ~after:(Sim.Time.us 10) (fun () ->
-         log := Sim.Engine.now e :: !log;
-         ignore
-           (Sim.Engine.schedule e ~after:(Sim.Time.us 5) (fun () ->
-                log := Sim.Engine.now e :: !log))));
+  Sim.Engine.schedule e ~after:(Sim.Time.us 10) (fun () ->
+      log := Sim.Engine.now e :: !log;
+      ignore
+        (Sim.Engine.schedule e ~after:(Sim.Time.us 5) (fun () ->
+             log := Sim.Engine.now e :: !log)));
   Sim.Engine.run e;
   Alcotest.(check (list int)) "chained events" [ 10_000; 15_000 ] (List.rev !log)
 
@@ -191,9 +309,9 @@ let test_engine_run_until () =
   let count = ref 0 in
   let rec tick () =
     incr count;
-    ignore (Sim.Engine.schedule e ~after:(Sim.Time.us 10) tick)
+    Sim.Engine.schedule e ~after:(Sim.Time.us 10) tick
   in
-  ignore (Sim.Engine.schedule e ~after:(Sim.Time.us 10) tick);
+  Sim.Engine.schedule e ~after:(Sim.Time.us 10) tick;
   Sim.Engine.run_until e (Sim.Time.us 55);
   Alcotest.(check int) "five ticks by 55us" 5 !count;
   Alcotest.(check int) "clock advanced to deadline" (Sim.Time.us 55) (Sim.Engine.now e)
@@ -201,15 +319,15 @@ let test_engine_run_until () =
 let test_engine_negative_delay () =
   let e = Sim.Engine.create () in
   Alcotest.check_raises "negative" (Invalid_argument "Engine.schedule: negative delay")
-    (fun () -> ignore (Sim.Engine.schedule e ~after:(-1) ignore))
+    (fun () -> Sim.Engine.schedule e ~after:(-1) ignore)
 
 let test_engine_past_schedule_at () =
   let e = Sim.Engine.create () in
-  ignore (Sim.Engine.schedule e ~after:(Sim.Time.us 10) ignore);
+  Sim.Engine.schedule e ~after:(Sim.Time.us 10) ignore;
   Sim.Engine.run e;
   Alcotest.check_raises "past"
     (Invalid_argument "Engine.schedule_at: time is in the simulated past") (fun () ->
-      ignore (Sim.Engine.schedule_at e ~at:(Sim.Time.us 5) ignore))
+      Sim.Engine.schedule_at e ~at:(Sim.Time.us 5) ignore)
 
 (* {1 Rng} *)
 
@@ -538,8 +656,8 @@ let test_cpu_idle_gap () =
   let cpu = Sim.Cpu.create e in
   Sim.Cpu.run cpu ~cost:(Sim.Time.us 2) ignore;
   Sim.Engine.run e;
-  ignore (Sim.Engine.schedule e ~after:(Sim.Time.us 100) (fun () ->
-      Sim.Cpu.run cpu ~cost:(Sim.Time.us 3) ignore));
+  Sim.Engine.schedule e ~after:(Sim.Time.us 100) (fun () ->
+Sim.Cpu.run cpu ~cost:(Sim.Time.us 3) ignore);
   Sim.Engine.run e;
   (* Work after an idle gap starts immediately, not at accumulated time. *)
   Alcotest.(check int) "finished at 105us" (Sim.Time.us 105) (Sim.Engine.now e);
@@ -1308,14 +1426,6 @@ let suite =
         Alcotest.test_case "arithmetic" `Quick test_time_arith;
         Alcotest.test_case "pretty-printing" `Quick test_time_pp;
       ] );
-    ( "sim.heap",
-      [
-        Alcotest.test_case "push/pop ordering" `Quick test_heap_basic;
-        Alcotest.test_case "pop_exn on empty" `Quick test_heap_pop_exn_empty;
-        Alcotest.test_case "clear" `Quick test_heap_clear;
-        Alcotest.test_case "pop releases slot" `Quick test_heap_pop_releases_slot;
-        QCheck_alcotest.to_alcotest prop_heap_sorted;
-      ] );
     ( "sim.event_heap",
       [
         Alcotest.test_case "order and sentinel" `Quick
@@ -1330,6 +1440,13 @@ let suite =
         Alcotest.test_case "time ordering" `Quick test_engine_ordering;
         Alcotest.test_case "FIFO tie-break" `Quick test_engine_fifo_ties;
         Alcotest.test_case "cancel" `Quick test_engine_cancel;
+        Alcotest.test_case "timer re-arm moves the deadline" `Quick
+          test_timer_rearm_moves_deadline;
+        Alcotest.test_case "timer disarm after fire is a no-op" `Quick
+          test_timer_disarm_after_fire;
+        Alcotest.test_case "timer action can re-arm" `Quick test_timer_action_can_rearm;
+        Alcotest.test_case "unset_timer is never armed" `Quick test_unset_timer;
+        QCheck_alcotest.to_alcotest prop_engine_model;
         Alcotest.test_case "schedule from callback" `Quick test_engine_schedule_from_callback;
         Alcotest.test_case "run_until" `Quick test_engine_run_until;
         Alcotest.test_case "negative delay rejected" `Quick test_engine_negative_delay;

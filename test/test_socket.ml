@@ -261,10 +261,9 @@ let test_end_to_end_estimate_matches_ground_truth () =
       pop (String.length got));
   (* issue 200 requests of 1000 bytes, 50us apart *)
   for i = 0 to 199 do
-    ignore
-      (Sim.Engine.schedule_at engine ~at:(us (i * 50)) (fun () ->
-           Queue.push (Sim.Time.to_ns (Sim.Engine.now engine)) outstanding;
-           Tcp.Socket.send a (String.make 1000 'q')))
+    Sim.Engine.schedule_at engine ~at:(us (i * 50)) (fun () ->
+        Queue.push (Sim.Time.to_ns (Sim.Engine.now engine)) outstanding;
+        Tcp.Socket.send a (String.make 1000 'q'))
   done;
   Sim.Engine.run engine;
   let measured =
@@ -283,9 +282,8 @@ let test_exchange_option_flows () =
   let a = Tcp.Conn.sock_a conn and b = Tcp.Conn.sock_b conn in
   Tcp.Socket.on_readable b (fun () -> ignore (drain_to_string b));
   for i = 0 to 9 do
-    ignore
-      (Sim.Engine.schedule_at engine ~at:(us (i * 100)) (fun () ->
-           Tcp.Socket.send a "req"))
+    Sim.Engine.schedule_at engine ~at:(us (i * 100)) (fun () ->
+        Tcp.Socket.send a "req")
   done;
   Sim.Engine.run engine;
   (* The server ingested remote snapshots, so it has a remote window. *)
@@ -373,9 +371,8 @@ let test_deterministic_replay () =
         Tcp.Socket.send b (String.make (String.length d) 'e'));
     Tcp.Socket.on_readable a (fun () -> ignore (drain_to_string a));
     for i = 0 to 20 do
-      ignore
-        (Sim.Engine.schedule_at engine ~at:(us (i * 37)) (fun () ->
-             Tcp.Socket.send a (String.make ((i * 131) mod 3000) 'p')))
+      Sim.Engine.schedule_at engine ~at:(us (i * 37)) (fun () ->
+          Tcp.Socket.send a (String.make ((i * 131) mod 3000) 'p'))
     done;
     Sim.Engine.run engine;
     (Sim.Engine.now engine, Tcp.Conn.total_packets conn, (Tcp.Socket.counters a).bytes_out)
