@@ -237,9 +237,13 @@ scale-smoke:
 # a change that only makes the simulator faster must not move a single
 # byte.  Runs: 16 KiB SETs with Nagle off, 64 B SETs under dynamic
 # batching at 100 kRPS, 1 KiB SETs at 1% loss (SACK recovery), the same
-# with a 20 ms blackout (RTO fires and backs off), and a 2-core sharded
-# fleet with scripted churn.  A run's trace file keeps its last 64Ki
-# records; its stdout summarises the whole run.  When a change is
+# with a 20 ms blackout (RTO fires and backs off), a 2-core sharded
+# fleet with scripted churn, and a 2-core fleet whose VM tenant churns
+# at random (Poisson arrivals and departures: retirements from the
+# middle of the rotation, siblings inheriting control state), once
+# with per-connection and once with per-tenant control.  A run's trace
+# file keeps its last 64Ki records and the run warns on stderr when it
+# dropped older ones; its stdout summarises the whole run.  When a change is
 # meant to alter simulated results, regenerate the fixture with the
 # same commands and say why in CHANGES.md:
 #   sha256sum _smoke/same-*.bin _smoke/same-*.out > test/fixtures/same_answer.sha256
@@ -251,7 +255,11 @@ same-answer:
 	dune exec bin/e2ebench.exe -- run --value-size 64 --rate 100 --nagle dynamic \
 	  --warmup-ms 5 --duration-ms 100 --trace-out _smoke/same-64b.bin > _smoke/same-64b.out
 	dune exec bin/e2ebench.exe -- run --value-size 1024 --loss 0.01 \
-	  --warmup-ms 5 --duration-ms 300 --trace-out _smoke/same-loss.bin > _smoke/same-loss.out
+	  --warmup-ms 5 --duration-ms 300 --trace-out _smoke/same-loss.bin \
+	  > _smoke/same-loss.out 2> _smoke/same-loss.err
+	@cat _smoke/same-loss.err
+	@grep -q 'the trace ring dropped the [0-9]* before them' _smoke/same-loss.err \
+	  || { echo "same-answer: the 300 ms loss run did not report its dropped trace records"; exit 1; }
 	printf 'blackout dir=both from_ms=40 until_ms=60\n' > _smoke/same-rto.fault
 	dune exec bin/e2ebench.exe -- run --value-size 1024 --loss 0.01 \
 	  --fault-plan _smoke/same-rto.fault \
@@ -263,6 +271,18 @@ same-answer:
 	  > _smoke/same-fleet.scn
 	dune exec bin/e2ebench.exe -- scenario _smoke/same-fleet.scn \
 	  --trace-out _smoke/same-fleet.bin > _smoke/same-fleet.out
+	printf '%s\n' \
+	  'fleet seed=5 warmup_ms=5 duration_ms=40 scope=per_conn' \
+	  'server cores=2 lb=least_loaded' \
+	  'tenant name=bare conns=60 rate_rps=4000 batching=dynamic' \
+	  'tenant name=vm conns=200 rate_rps=20000 mix=small cpu_mult=4 batching=dynamic churn_arrive_rps=5000 churn_depart_rps=5000 churn_min=150 churn_max=250' \
+	  > _smoke/same-poisson.scn
+	dune exec bin/e2ebench.exe -- scenario _smoke/same-poisson.scn \
+	  --trace-out _smoke/same-poisson.bin > _smoke/same-poisson.out
+	sed 's/scope=per_conn/scope=per_tenant/' _smoke/same-poisson.scn \
+	  > _smoke/same-poisson-tenant.scn
+	dune exec bin/e2ebench.exe -- scenario _smoke/same-poisson-tenant.scn \
+	  --trace-out _smoke/same-poisson-tenant.bin > _smoke/same-poisson-tenant.out
 	@sha256sum -c --quiet test/fixtures/same_answer.sha256 \
 	  || { echo "same-answer: simulated output differs from the fixture"; exit 1; }
 	@echo "same-answer: OK"

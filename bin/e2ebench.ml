@@ -256,7 +256,24 @@ let write_outputs ~trace_out ~metrics_out
                   output_char oc '\n')
                 o.records)
             outputs);
-    pf "trace               : %d events -> %s\n" !total path);
+    pf "trace               : %d events -> %s\n" !total path;
+    (* The ring keeps a run's last records only.  Say so on stderr, so
+       stdout (and the file) stay exactly what they were. *)
+    List.iter
+      (fun (run, (o : Loadgen.Observe.output)) ->
+        match o.records with
+        | first :: _ when o.dropped_records > 0 ->
+          let last = List.fold_left (fun _ r -> r) first o.records in
+          Printf.eprintf
+            "warning: %s holds only the last %d trace records%s (%s .. %s); \
+             the trace ring dropped the %d before them\n%!"
+            path (List.length o.records)
+            (match run with Some r -> " of run " ^ r | None -> "")
+            (Sim.Time.to_string first.Sim.Trace.at)
+            (Sim.Time.to_string last.Sim.Trace.at)
+            o.dropped_records
+        | _ -> ())
+      outputs);
   match metrics_out with
   | None -> ()
   | Some path ->

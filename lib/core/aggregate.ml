@@ -2,22 +2,36 @@ type input = { latency_ns : float option; throughput : float }
 
 type t = { latency_ns : float option; throughput : float; flows : int }
 
-let combine (inputs : input list) =
-  let weighted, weight, flows, throughput =
-    List.fold_left
-      (fun (acc, w, n, tp) (i : input) ->
-        let tp = tp +. i.throughput in
-        match i.latency_ns with
-        | Some l when i.throughput > 0.0 ->
-          (acc +. (l *. i.throughput), w +. i.throughput, n + 1, tp)
-        | Some _ | None -> (acc, w, n, tp))
-      (0.0, 0.0, 0, 0.0) inputs
-  in
+(* One pass over any list of flows, read through the accessors: no
+   intermediate list or tuples.  Local refs that no closure captures
+   compile to unboxed mutable variables. *)
+let accumulate ~latency_ns ~throughput flows_list =
+  let weighted = ref 0.0 and weight = ref 0.0 and flows = ref 0 and total = ref 0.0 in
+  let rest = ref flows_list and more = ref true in
+  while !more do
+    match !rest with
+    | [] -> more := false
+    | x :: tl ->
+      rest := tl;
+      let tp = throughput x in
+      total := !total +. tp;
+      (match latency_ns x with
+      | Some l when tp > 0.0 ->
+        weighted := !weighted +. (l *. tp);
+        weight := !weight +. tp;
+        incr flows
+      | Some _ | None -> ())
+  done;
   {
-    latency_ns = (if weight > 0.0 then Some (weighted /. weight) else None);
-    throughput;
-    flows;
+    latency_ns = (if !weight > 0.0 then Some (!weighted /. !weight) else None);
+    throughput = !total;
+    flows = !flows;
   }
+
+let combine (inputs : input list) =
+  accumulate inputs
+    ~latency_ns:(fun (i : input) -> i.latency_ns)
+    ~throughput:(fun (i : input) -> i.throughput)
 
 let max_min_ratio xs =
   match xs with
@@ -36,8 +50,6 @@ let jain xs =
     else Some (sum *. sum /. (float_of_int n *. sumsq))
 
 let of_estimates estimates =
-  combine
-    (List.map
-       (fun (e : Estimator.estimate) : input ->
-         { latency_ns = e.latency_ns; throughput = e.throughput })
-       estimates)
+  accumulate estimates
+    ~latency_ns:(fun (e : Estimator.estimate) -> e.latency_ns)
+    ~throughput:(fun (e : Estimator.estimate) -> e.throughput)

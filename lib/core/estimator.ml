@@ -6,7 +6,17 @@ type t = {
   ackdelay : Queue_state.t;
   created_at : Sim.Time.t;
   mutable lifecycle : lifecycle;
-  mutable local_prev : Exchange.triple;
+  (* The local window's anchor — the snapshot of the three queues at
+     the last [estimate] (or creation) — kept in place: one time, three
+     totals and three integrals ([anchor], indexed [q_unacked] &c.).
+     A fresh share triple per tick would live a whole tick period, long
+     enough to be promoted, for every connection. *)
+  mutable anchor_at : Sim.Time.t;
+  mutable anchor_unacked : int;
+  mutable anchor_unread : int;
+  mutable anchor_ackdelay : int;
+  anchor : Float.Array.t;
+  cur : Float.Array.t;  (* scratch: the integrals advanced to [compute]'s [at] *)
   mutable remote_baseline : Exchange.triple option;
   mutable remote_latest : Exchange.triple option;
   mutable last_share_at : Sim.Time.t option;
@@ -20,21 +30,21 @@ type t = {
       (* (unacked, unread, ackdelay) Little's-law audit mirrors *)
 }
 
-let triple_at estim ~at : Exchange.triple =
+let local_snapshot t ~at : Exchange.triple =
   {
-    unacked = Queue_state.snapshot estim.unacked ~at;
-    unread = Queue_state.snapshot estim.unread ~at;
-    ackdelay = Queue_state.snapshot estim.ackdelay ~at;
+    unacked = Queue_state.snapshot t.unacked ~at;
+    unread = Queue_state.snapshot t.unread ~at;
+    ackdelay = Queue_state.snapshot t.ackdelay ~at;
   }
+
+let q_unacked = 0
+let q_unread = 1
+let q_ackdelay = 2
 
 let create ~at =
   let unacked = Queue_state.create ~at in
   let unread = Queue_state.create ~at in
   let ackdelay = Queue_state.create ~at in
-  let zero : Queue_state.share = { time = at; total = 0; integral = 0.0 } in
-  let local_prev : Exchange.triple =
-    { unacked = zero; unread = zero; ackdelay = zero }
-  in
   {
     unacked;
     unread;
@@ -45,7 +55,12 @@ let create ~at =
        discards.  Only connections spawned mid-run (fleet churn) are
        marked [Cold_start] explicitly. *)
     lifecycle = Warm;
-    local_prev;
+    anchor_at = at;
+    anchor_unacked = 0;
+    anchor_unread = 0;
+    anchor_ackdelay = 0;
+    anchor = Float.Array.make 3 0.0;
+    cur = Float.Array.make 3 0.0;
     remote_baseline = None;
     remote_latest = None;
     last_share_at = None;
@@ -95,8 +110,6 @@ let unacked_size t = Queue_state.size t.unacked
 let unread_size t = Queue_state.size t.unread
 let ackdelay_size t = Queue_state.size t.ackdelay
 
-let local_snapshot t ~at = triple_at t ~at
-
 let ingest_remote t ~at (triple : Exchange.triple) =
   match Exchange.check_plausible ?prev:t.remote_latest ~now:at triple with
   | Error reason ->
@@ -109,13 +122,14 @@ let ingest_remote t ~at (triple : Exchange.triple) =
     | _ -> ())
   | Ok () -> (
     (* The first-ever share anchors the remote window, exactly as
-       [local_prev] anchors the local window at creation: until the first
+       the local anchor pins the local window at creation: until the first
        [estimate] both windows span creation-to-now, so pinning the
        baseline to the first share (rather than sliding it with every
        pre-estimate ingest) is what keeps the two vantage points' windows
        aligned.  Pinned by a regression test in test_exchange.ml. *)
-    if t.remote_baseline = None then t.remote_baseline <- Some triple;
-    t.remote_latest <- Some triple;
+    let latest = Some triple in
+    if Option.is_none t.remote_baseline then t.remote_baseline <- latest;
+    t.remote_latest <- latest;
     t.last_share_at <- Some at;
     match t.trace with
     | Some tr when Sim.Trace.enabled tr ->
@@ -155,59 +169,81 @@ type estimate = {
   stale : bool;
 }
 
+(* Algorithm 2's per-queue latency over a remote share pair, as
+   [Latency.components_of_triples] computes it: present iff the queue's
+   window is non-empty and something departed. *)
+let[@inline] share_latency_ok (p : Queue_state.share) (c : Queue_state.share) =
+  Sim.Time.diff c.time p.time > 0 && c.total - p.total > 0
+
+let[@inline] share_latency (p : Queue_state.share) (c : Queue_state.share) =
+  (c.integral -. p.integral) /. float_of_int (c.total - p.total)
+
+(* The local queue's latency over the anchored window (which is
+   non-empty here), or 0.0 — the value [Latency.combine] substitutes
+   for a queue with no departures. *)
+let[@inline] local_latency t i ~d_total =
+  if d_total > 0 then
+    (Float.Array.get t.cur i -. Float.Array.get t.anchor i) /. float_of_int d_total
+  else 0.0
+
+(* [Latency.components_of_triples], [combine], [reconcile] and
+   [Queue_state.get_avgs] over the in-place anchor, performing the same
+   float operations in the same order, so every estimate is bit-equal
+   to the share-triple formulation (the estimator oracle test holds it
+   to that). *)
 let compute t ~at =
-  let local_cur = triple_at t ~at in
-  let local_prev = t.local_prev in
-  let window = Sim.Time.diff local_cur.unacked.time local_prev.unacked.time in
+  Queue_state.integral_into t.unacked ~at t.cur q_unacked;
+  Queue_state.integral_into t.unread ~at t.cur q_unread;
+  Queue_state.integral_into t.ackdelay ~at t.cur q_ackdelay;
+  let window = Sim.Time.diff at t.anchor_at in
   if window <= 0 then None
   else begin
-    let local_comp = Latency.components_of_triples ~prev:local_prev ~cur:local_cur in
-    let remote_comp =
-      match remote_window t with
-      | None -> None
-      | Some (prev, cur) -> Latency.components_of_triples ~prev ~cur
+    let du = Queue_state.total t.unacked - t.anchor_unacked in
+    let dr = Queue_state.total t.unread - t.anchor_unread in
+    let da = Queue_state.total t.ackdelay - t.anchor_ackdelay in
+    let lu = local_latency t q_unacked ~d_total:du in
+    let lr = local_latency t q_unread ~d_total:dr in
+    let la = local_latency t q_ackdelay ~d_total:da in
+    let latency_local_ns, latency_remote_ns =
+      match (t.remote_baseline, t.remote_latest) with
+      | Some p, Some c when Sim.Time.diff c.unacked.time p.unacked.time > 0 ->
+        let ru_ok = share_latency_ok p.unacked c.unacked in
+        let rr =
+          if share_latency_ok p.unread c.unread then share_latency p.unread c.unread
+          else 0.0
+        in
+        let ra =
+          if share_latency_ok p.ackdelay c.ackdelay then
+            share_latency p.ackdelay c.ackdelay
+          else 0.0
+        in
+        ( (if du > 0 then Some (Float.max (lu -. ra +. lr +. rr) 0.0) else None),
+          if ru_ok then
+            Some (Float.max (share_latency p.unacked c.unacked -. la +. rr +. lr) 0.0)
+          else None )
+      | _ ->
+        (* no remote window: [combine]'s zero terms, kept as operations *)
+        ((if du > 0 then Some (Float.max (lu -. 0.0 +. lr +. 0.0) 0.0) else None), None)
     in
-    let none_comp : Latency.components =
-      { unacked = None; unread = None; ackdelay = None }
-    in
-    let latency_local_ns =
-      match local_comp with
-      | None -> None
-      | Some local ->
-        Latency.combine ~local ~remote:(Option.value remote_comp ~default:none_comp)
-    in
-    let latency_remote_ns =
-      (* The peer's vantage point: its unacked/unread with our
-         ackdelay/unread subtracted or added symmetrically. *)
-      match remote_comp with
-      | None -> None
-      | Some remote ->
-        let local = Option.value local_comp ~default:none_comp in
-        Latency.combine ~local:remote ~remote:local
-    in
-    let throughput =
-      match Queue_state.get_avgs ~prev:local_prev.unacked ~cur:local_cur.unacked with
-      | Some avgs -> avgs.throughput
-      | None -> 0.0
-    in
+    let throughput = float_of_int du /. Sim.Time.to_sec window in
     let latency_ns = Latency.reconcile latency_local_ns latency_remote_ns in
     let stale = is_stale t ~at in
-    Some
-      ( { latency_ns; latency_local_ns; latency_remote_ns; throughput; window; stale },
-        local_cur )
+    Some { latency_ns; latency_local_ns; latency_remote_ns; throughput; window; stale }
   end
 
 let estimate t ~at =
   match compute t ~at with
   | None -> None
-  | Some (est, local_cur) ->
-    t.local_prev <- local_cur;
+  | Some est ->
+    t.anchor_at <- at;
+    t.anchor_unacked <- Queue_state.total t.unacked;
+    t.anchor_unread <- Queue_state.total t.unread;
+    t.anchor_ackdelay <- Queue_state.total t.ackdelay;
+    Float.Array.blit t.cur 0 t.anchor 0 3;
     (* The remote window advances too: the latest ingested share becomes
        the next window's baseline, keeping the two vantage points'
        windows aligned (modulo one network delay). *)
-    (match t.remote_latest with
-    | Some latest -> t.remote_baseline <- Some latest
-    | None -> ());
+    if Option.is_some t.remote_latest then t.remote_baseline <- t.remote_latest;
     if t.lifecycle = Cold_start then begin
       (* The first window of a mid-run connection spans its slow-start
          ramp: a handful of samples over a tiny span.  Discard it —
@@ -232,4 +268,4 @@ let estimate t ~at =
 
 let peek_estimate t ~at =
   if t.lifecycle = Cold_start then None
-  else match compute t ~at with None -> None | Some (est, _) -> Some est
+  else compute t ~at

@@ -67,7 +67,7 @@ val ingest_remote : t -> at:Sim.Time.t -> Exchange.triple -> unit
     {!rejected_shares}, and traced as [Share_rejected].
 
     Before the first {!estimate} the baseline stays pinned to the
-    first-ever share — intentional: [local_prev] likewise anchors at
+    first-ever share — intentional: the local window likewise anchors at
     creation, so both windows span creation-to-first-estimate.  Sliding
     the baseline with every pre-estimate ingest would shrink the remote
     window to one share interval while the local window kept growing. *)

@@ -23,15 +23,15 @@ let total t = t.total
 
 type share = { time : Sim.Time.t; total : int; integral : float }
 
-let snapshot (t : t) ~at =
+let[@inline] integral_at (t : t) ~at =
   if Sim.Time.compare at t.time < 0 then
     invalid_arg "Queue_state.snapshot: time went backwards";
   let dt = Sim.Time.diff at t.time in
-  {
-    time = at;
-    total = t.total;
-    integral = t.integral +. (float_of_int t.size *. float_of_int dt);
-  }
+  t.integral +. (float_of_int t.size *. float_of_int dt)
+
+let snapshot (t : t) ~at = { time = at; total = t.total; integral = integral_at t ~at }
+
+let integral_into t ~at dst i = Float.Array.set dst i (integral_at t ~at)
 
 type avgs = { q_avg : float; throughput : float; latency_ns : float option }
 

@@ -42,6 +42,12 @@ val snapshot : t -> at:Sim.Time.t -> share
     (accounts for the current occupancy persisting since the last
     {!track} call).  [at] must not precede the last update. *)
 
+val integral_into : t -> at:Sim.Time.t -> Float.Array.t -> int -> unit
+(** [integral_into t ~at dst i] stores [(snapshot t ~at).integral] in
+    [dst.(i)] — the same bits, with no share record and no boxed
+    float.  For callers that keep window anchors in place.
+    @raise Invalid_argument like {!snapshot}. *)
+
 type avgs = {
   q_avg : float;  (** average occupancy over the window (items) *)
   throughput : float;  (** departures per second *)

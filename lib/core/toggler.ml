@@ -84,32 +84,19 @@ type explanation = {
   why : reason;
 }
 
-(* Must consume the rng byte-identically to the pre-explanation
-   [decide_free]: one [Rng.float] draw iff the other arm has enough
-   samples, and none at all on the forced path. *)
-let decide_explained t =
-  let before = t.current in
-  let smoothed_us m =
-    match smoothed t m with
-    | Some (o : Policy.outcome) -> Some (o.latency_ns /. 1e3)
-    | None -> None
-  in
-  let explain chosen why =
-    {
-      before;
-      chosen;
-      on_us = smoothed_us Batch_on;
-      off_us = smoothed_us Batch_off;
-      why;
-    }
-  in
+(* The decision itself: sets [current] and returns which branch chose
+   it.  One [Rng.float] draw iff the other arm has enough samples, none
+   at all on the forced path — both [decide] and [decide_explained] run
+   exactly this, so swapping one for the other cannot perturb a seeded
+   run. *)
+let step t =
   match t.forced with
   | Some m ->
       (* Degraded mode: pin the forced mode without consuming the rng,
          so exploration resumes exactly where it left off once
          released. *)
       t.current <- m;
-      explain m Forced
+      Forced
   | None ->
       let other = flip t.current in
       let next, why =
@@ -129,6 +116,26 @@ let decide_explained t =
         end
       in
       t.current <- next;
-      explain next why
+      why
 
-let decide t = (decide_explained t).chosen
+let decide t =
+  ignore (step t : reason);
+  t.current
+
+(* Deciding touches neither arm, so the smoothed latencies read after
+   [step] are the ones it decided on. *)
+let decide_explained t =
+  let before = t.current in
+  let why = step t in
+  let smoothed_us m =
+    match smoothed t m with
+    | Some (o : Policy.outcome) -> Some (o.latency_ns /. 1e3)
+    | None -> None
+  in
+  {
+    before;
+    chosen = t.current;
+    on_us = smoothed_us Batch_on;
+    off_us = smoothed_us Batch_off;
+    why;
+  }

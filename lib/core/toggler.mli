@@ -69,9 +69,9 @@ type explanation = {
 
 val decide_explained : t -> explanation
 (** Exactly {!decide}, additionally reporting the decision's inputs
-    and which branch chose the mode.  Consumes the rng identically to
-    [decide] (which is implemented on top of it), so swapping one for
-    the other cannot perturb a seeded run. *)
+    and which branch chose the mode.  Both run the same decision step
+    and consume the rng identically, so swapping one for the other
+    cannot perturb a seeded run; [decide] builds no explanation. *)
 
 val force : t -> mode option -> unit
 (** Pin {!decide} to a fixed mode ([Some m]) or release it ([None]).

@@ -87,12 +87,90 @@ let estimate_socks ?(advance = false) socks ~at =
   in
   (E2e.Aggregate.of_estimates per_flow, per_flow)
 
+(* The tick-by-tick sample log, column-wise: a tick appends four
+   unboxed values instead of a record, an option and boxed floats that
+   would all stay live until the run ends.  A [None] latency is stored
+   as nan.  The columns are allocated at the first append, sized to the
+   ticks left until [until], so the thousands of groups of a
+   per-connection fleet cost nothing at attach. *)
+module Samples = struct
+  type t = {
+    until : Sim.Time.t;
+    every : Sim.Time.span;
+    mutable len : int;
+    mutable at_us : Float.Array.t;
+    mutable latency_us : Float.Array.t;
+    mutable throughput_rps : Float.Array.t;
+    mutable batch_on : Bytes.t;  (* '\001' for [Batch_on] *)
+  }
+
+  let create ~until ~every =
+    let none = Float.Array.create 0 in
+    { until; every; len = 0; at_us = none; latency_us = none; throughput_rps = none;
+      batch_on = Bytes.empty }
+
+  let append log ~at ~latency_ns ~throughput ~mode =
+    let n = log.len in
+    if n = Float.Array.length log.at_us then begin
+      (* The first append sizes the columns to the ticks left; growth
+         past that only serves a caller that appends more often than
+         [every]. *)
+      let cap =
+        if n = 0 then 1 + (max 0 (Sim.Time.diff log.until at) / log.every) else 2 * n
+      in
+      let grow a =
+        let b = Float.Array.create cap in
+        Float.Array.blit a 0 b 0 n;
+        b
+      in
+      log.at_us <- grow log.at_us;
+      log.latency_us <- grow log.latency_us;
+      log.throughput_rps <- grow log.throughput_rps;
+      log.batch_on <- Bytes.extend log.batch_on 0 (cap - n)
+    end;
+    Float.Array.set log.at_us n (Sim.Time.to_us at);
+    Float.Array.set log.latency_us n
+      (match latency_ns with Some ns -> ns /. 1e3 | None -> Float.nan);
+    Float.Array.set log.throughput_rps n throughput;
+    Bytes.set log.batch_on n
+      (match (mode : E2e.Toggler.mode) with Batch_on -> '\001' | Batch_off -> '\000');
+    log.len <- n + 1
+
+  let get log i =
+    let l = Float.Array.get log.latency_us i in
+    {
+      at_us = Float.Array.get log.at_us i;
+      latency_us = (if Float.is_nan l then None else Some l);
+      throughput_rps = Float.Array.get log.throughput_rps i;
+      mode = (if Bytes.get log.batch_on i = '\001' then Batch_on else Batch_off);
+    }
+
+  let to_list log =
+    let rec build i acc = if i < 0 then acc else build (i - 1) (get log i :: acc) in
+    build (log.len - 1) []
+
+  (* Sums in sample order, as a fold over [to_list] would. *)
+  let summary log ~warmup_until =
+    let from_us = Sim.Time.to_us warmup_until in
+    let weighted = ref 0.0 and count = ref 0 and tput_sum = ref 0.0 in
+    for i = 0 to log.len - 1 do
+      let l = Float.Array.get log.latency_us i in
+      if Float.Array.get log.at_us i > from_us && not (Float.is_nan l) then begin
+        weighted := !weighted +. l;
+        incr count;
+        tput_sum := !tput_sum +. Float.Array.get log.throughput_rps i
+      end
+    done;
+    if !count = 0 then (None, 0.0)
+    else (Some (!weighted /. float_of_int !count), !tput_sum /. float_of_int !count)
+end
+
 type t = {
   batching : batching;
   toggler : E2e.Toggler.t option;
   aimd : E2e.Aimd.t option;
   degrade : E2e.Degrade.t option;
-  samples_rev : estimate_sample list ref;
+  log : Samples.t;
   (* Group membership is mutable so connections can join (churn spawn)
      and leave (drain + FIN) a live group: the decision-tick closures
      read these refs, never a captured list. *)
@@ -122,10 +200,25 @@ let attach ?ledger ~engine ~until ~rng ~fault_armed ~batching ~client_socks
     in
     match age with None -> -1.0 | Some a -> Stdlib.max a 0.0
   in
-  let samples_rev = ref [] in
+  let log =
+    (* only dynamic groups log samples *)
+    Samples.create ~until
+      ~every:(match batching with Dynamic d -> d.tick | _ -> Sim.Time.ms 1)
+  in
   let none =
-    { batching; toggler = None; aimd = None; degrade = None; samples_rev;
-      clients; alls }
+    { batching; toggler = None; aimd = None; degrade = None; log; clients; alls }
+  in
+  (* Each tick re-arms one timer: scheduling a fresh event per tick
+     would keep an event record live for a whole tick period. *)
+  let every_tick ~span action =
+    let timer = ref Sim.Engine.unset_timer in
+    timer :=
+      Sim.Engine.timer (fun () ->
+          let at = Sim.Engine.now engine in
+          action at;
+          if Sim.Time.compare (Sim.Time.add at span) until <= 0 then
+            Sim.Engine.arm engine !timer ~after:span);
+    Sim.Engine.arm engine !timer ~after:span
   in
   match batching with
   | Static_on | Static_off -> none
@@ -150,8 +243,7 @@ let attach ?ledger ~engine ~until ~rng ~fault_armed ~batching ~client_socks
       kick_all ()
     in
     set_limit (limit_of_headroom (E2e.Aimd.limit controller));
-    let rec tick () =
-      let at = Sim.Engine.now engine in
+    every_tick ~span:a.aimd_tick (fun at ->
       let agg, _ = aggregate_estimate ~advance:true at in
       let before = limit_of_headroom (E2e.Aimd.limit controller) in
       let reason =
@@ -171,11 +263,7 @@ let attach ?ledger ~engine ~until ~rng ~fault_armed ~batching ~client_socks
             (Printf.sprintf "limit=%d"
                (limit_of_headroom (E2e.Aimd.limit controller)))
           ~reason ~frozen:false ~stale_us:(stale_age_us at) ()
-      | None -> ());
-      if Sim.Time.compare (Sim.Time.add at a.aimd_tick) until <= 0 then
-        Sim.Engine.schedule engine ~after:a.aimd_tick tick
-    in
-    Sim.Engine.schedule engine ~after:a.aimd_tick tick;
+      | None -> ()));
     { none with aimd = Some controller }
   | Dynamic d ->
     let toggler =
@@ -227,8 +315,7 @@ let attach ?ledger ~engine ~until ~rng ~fault_armed ~batching ~client_socks
           | E2e.Degrade.Active -> None);
         state = E2e.Degrade.Frozen
     in
-    let rec tick () =
-      let at = Sim.Engine.now engine in
+    every_tick ~span:d.tick (fun at ->
       let mode = E2e.Toggler.mode toggler in
       let frozen = step_degrade at in
       let agg, per_flow = aggregate_estimate ~advance:true at in
@@ -241,32 +328,22 @@ let attach ?ledger ~engine ~until ~rng ~fault_armed ~batching ~client_socks
           E2e.Toggler.observe toggler ~mode
             { E2e.Policy.latency_ns; throughput = agg.throughput }
         | Some _ | None -> ());
-        samples_rev :=
-          {
-            at_us = Sim.Time.to_us at;
-            latency_us = ns_opt_to_us agg.latency_ns;
-            throughput_rps = agg.throughput;
-            mode;
-          }
-          :: !samples_rev
+        Samples.append log ~at ~latency_ns:agg.latency_ns ~throughput:agg.throughput
+          ~mode
       end;
-      let expl = E2e.Toggler.decide_explained toggler in
-      set_mode expl.chosen;
-      (match ledger with
+      match ledger with
+      | None -> set_mode (E2e.Toggler.decide toggler)
       | Some lg ->
+        let expl = E2e.Toggler.decide_explained toggler in
+        set_mode expl.chosen;
         E2e.Ledger.decision lg ~at ?on_us:expl.on_us ?off_us:expl.off_us
           ~mode:(E2e.Toggler.mode_to_string expl.before)
           ~action:(E2e.Toggler.mode_to_string expl.chosen)
           ~reason:(E2e.Toggler.reason_to_string expl.why)
-          ~frozen ~stale_us:(stale_age_us at) ()
-      | None -> ());
-      if Sim.Time.compare (Sim.Time.add at d.tick) until <= 0 then
-        Sim.Engine.schedule engine ~after:d.tick tick
-    in
-    Sim.Engine.schedule engine ~after:d.tick tick;
+          ~frozen ~stale_us:(stale_age_us at) ());
     { none with toggler = Some toggler; degrade }
 
-let samples t = List.rev !(t.samples_rev)
+let samples t = Samples.to_list t.log
 let final_mode t = Option.map E2e.Toggler.mode t.toggler
 let toggler t = t.toggler
 let client_socks t = !(t.clients)
@@ -320,19 +397,4 @@ let degrade_frozen_end t =
 
 (* Mean of the estimate samples inside the measured window — how
    dynamic runs summarize their advancing estimation windows. *)
-let sample_summary t ~warmup_until =
-  let measured =
-    List.filter (fun s -> s.at_us > Sim.Time.to_us warmup_until) (samples t)
-  in
-  let weighted, count, tput_sum =
-    List.fold_left
-      (fun (acc, n, tp) s ->
-        match s.latency_us with
-        | Some us -> (acc +. us, n + 1, tp +. s.throughput_rps)
-        | None -> (acc, n, tp))
-      (0.0, 0, 0.0) measured
-  in
-  if count = 0 then (None, 0.0)
-  else
-    ( Some (weighted /. float_of_int count),
-      tput_sum /. float_of_int count )
+let sample_summary t ~warmup_until = Samples.summary t.log ~warmup_until

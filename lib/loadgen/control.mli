@@ -59,6 +59,39 @@ type estimate_sample = {
   mode : E2e.Toggler.mode;
 }
 
+(** {1 Sample storage}
+
+    A dynamic group logs one sample per decision tick that saw at
+    least one estimate.  The log is column-wise: tick time (µs),
+    latency (µs, with nan standing for [None]), throughput and mode
+    live in three [Float.Array]s and a byte string, so a tick appends
+    four unboxed values and allocates nothing that outlives it.  The
+    columns are allocated at the first append, sized to the ticks left
+    until the group's horizon, and double only if appends outrun the
+    tick.  {!samples} rebuilds the record list on demand; a measured
+    latency of exactly nan would read back as [None]. *)
+module Samples : sig
+  type t
+
+  val create : until:Sim.Time.t -> every:Sim.Time.span -> t
+  (** An empty log for a group that ticks every [every] until [until]. *)
+
+  val append :
+    t ->
+    at:Sim.Time.t ->
+    latency_ns:float option ->
+    throughput:float ->
+    mode:E2e.Toggler.mode ->
+    unit
+  (** Log one tick: [at] and [latency_ns] are stored in µs. *)
+
+  val to_list : t -> estimate_sample list
+  (** Oldest first. *)
+
+  val summary : t -> warmup_until:Sim.Time.t -> float option * float
+  (** See {!sample_summary}. *)
+end
+
 val estimate_socks :
   ?advance:bool ->
   Tcp.Socket.t list ->
@@ -111,7 +144,7 @@ val abandon : t -> client_sock:Tcp.Socket.t -> server_sock:Tcp.Socket.t -> unit
 
 val samples : t -> estimate_sample list
 (** Tick-by-tick estimate log, oldest first (dynamic groups; empty
-    otherwise). *)
+    otherwise), rebuilt from the group's {!Samples} log. *)
 
 val final_mode : t -> E2e.Toggler.mode option
 

@@ -225,7 +225,8 @@ type tenant_state = {
   mutable next_gen : int;
   mutable opened_mid : int;
   mutable closed_mid : int;
-  mutable rotation : conn_entry array;
+  rotation : conn_entry Rotation.t;
+      (* the accepting entries in ascending handle order *)
   next_client : int ref;
 }
 
@@ -241,34 +242,7 @@ let iter_entries s ~f = Shard.Flat.iter s.entries ~f:(fun _ e -> f e)
 let fold_entries s ~init ~f =
   Shard.Flat.fold s.entries ~init ~f:(fun acc _ e -> f acc e)
 
-let rebuild_rotation s =
-  let n = fold_entries s ~init:0 ~f:(fun n e -> if e.accepting then n + 1 else n) in
-  if n = 0 then s.rotation <- [||]
-  else begin
-    (* Seed the array with any entry to avoid an option box per slot,
-       then overwrite in ascending-handle order. *)
-    let seed = ref None in
-    (try
-       iter_entries s ~f:(fun e ->
-           if e.accepting then begin
-             seed := Some e;
-             raise Exit
-           end)
-     with Exit -> ());
-    match !seed with
-    | None -> s.rotation <- [||]
-    | Some e0 ->
-      let a = Array.make n e0 in
-      let i = ref 0 in
-      iter_entries s ~f:(fun e ->
-          if e.accepting then begin
-            a.(!i) <- e;
-            incr i
-          end);
-      s.rotation <- a
-  end
-
-let accepting_count s = Array.length s.rotation
+let accepting_count s = Rotation.length s.rotation
 
 let live_entries s =
   List.rev
@@ -477,11 +451,11 @@ let run (cfg : config) =
             next_gen = 1;
             opened_mid = 0;
             closed_mid = 0;
-            rotation = [||];
+            rotation = Rotation.create ();
             next_client = ref 0;
           }
         in
-        rebuild_rotation s;
+        iter_entries s ~f:(Rotation.push s.rotation);
         s)
       cfg.tenants
   in
@@ -601,17 +575,18 @@ let run (cfg : config) =
   in
   (* Open-loop drivers: one independent arrival process per tenant,
      round-robin over the tenant's currently accepting connections.
-     The rotation is rebuilt on churn; with a fixed population it is
-     the fixed array the pre-churn implementation used. *)
+     Churn appends to and removes from the rotation in place; with a
+     fixed population it is the fixed sequence the pre-churn
+     implementation used. *)
   List.iter
     (fun s ->
       iter_entries s ~f:(wire_entry s);
       let issue cmd =
-        let n = Array.length s.rotation in
+        let n = accepting_count s in
         if n > 0 then begin
           let k = !(s.next_client) mod n in
           s.next_client := (k + 1) mod n;
-          let e = s.rotation.(k) in
+          let e = Rotation.get s.rotation k in
           let shard = e.shard in
           sh_issued.(shard) <- sh_issued.(shard) + 1;
           (* Dispatch breadcrumb (sharded runs only); the enabled check
@@ -813,11 +788,20 @@ let run (cfg : config) =
   let global_group () =
     match groups with (_, _, g) :: _ -> Some g | [] -> None
   in
+  (* The group of the oldest live entry that has one.  Handles are never
+     freed, so the live ones are [0 .. live - 1]; the search stops at
+     the first match instead of folding over the whole tenant. *)
   let sibling_group s =
-    fold_entries s ~init:None ~f:(fun acc e ->
-        match acc with
-        | Some _ -> acc
-        | None -> if e.retired then None else e.egroup)
+    let n = Shard.Flat.live s.entries in
+    let rec find h =
+      if h >= n then None
+      else
+        let e = Shard.Flat.get s.entries h in
+        match e.egroup with
+        | Some _ as g when not e.retired -> g
+        | _ -> find (h + 1)
+    in
+    find 0
   in
   let spawn_one i s crng =
     let t = s.spec in
@@ -915,7 +899,7 @@ let run (cfg : config) =
           ~client_socks:[ csock ] ~all_socks:[ csock; ssock ] ()
       in
       entry.egroup <- Some g;
-      spawned_groups := !spawned_groups @ [ (label, Some i, g) ];
+      spawned_groups := (label, Some i, g) :: !spawned_groups;
       if inherited then (
         match sibling_group s with
         | Some sib ->
@@ -935,16 +919,17 @@ let run (cfg : config) =
     ignore (Shard.Flat.alloc s.entries entry);
     s.opened_mid <- s.opened_mid + 1;
     wire_entry s entry;
-    rebuild_rotation s;
+    Rotation.push s.rotation entry;
     match obs with
     | Some o ->
       Sim.Trace.event (Observe.trace o) ~at ~id:label
         (Sim.Trace.Conn_opened { gen; inherited })
     | None -> ()
   in
-  let retire_entry s e =
+  let retire_at s k =
+    let e = Rotation.get s.rotation k in
     e.accepting <- false;
-    rebuild_rotation s;
+    Rotation.remove_at s.rotation k;
     let label = Tcp.Socket.label e.csock in
     let rec drain () =
       if Kv.Client.outstanding e.client = 0 then begin
@@ -972,9 +957,6 @@ let run (cfg : config) =
       else Sim.Engine.schedule engine ~after:(Sim.Time.us 50) drain
     in
     drain ()
-  in
-  let last_accepting s =
-    Array.fold_left (fun _ e -> Some e) None s.rotation
   in
   List.iteri
     (fun i s ->
@@ -1004,7 +986,7 @@ let run (cfg : config) =
                Sim.Engine.schedule engine ~after:gap (fun () ->
                    (if accepting_count s > ch.min_conns then
                       let k = Sim.Rng.int crng ~bound:(accepting_count s) in
-                      retire_entry s s.rotation.(k));
+                      retire_at s k);
                    departures ())
            in
            departures ());
@@ -1022,9 +1004,7 @@ let run (cfg : config) =
                   else
                     for _ = 1 to -delta do
                       if accepting_count s > ch.min_conns then
-                        match last_accepting s with
-                        | Some e -> retire_entry s e
-                        | None -> ()
+                        retire_at s (accepting_count s - 1)
                     done)
             end)
           ch.script)
@@ -1096,7 +1076,7 @@ let run (cfg : config) =
   in
   let duration_s = Sim.Time.to_sec cfg.duration in
   let util busy base_v = float_of_int (busy - base_v) /. float_of_int cfg.duration in
-  let all_groups = groups @ !spawned_groups in
+  let all_groups = groups @ List.rev !spawned_groups in
   (* Per-tenant stack estimate: dynamic groups advance their windows on
      every tick, so aggregate their tick samples; static/AIMD groups
      (and any tenant under a global group) kept windows open since

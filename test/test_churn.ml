@@ -384,6 +384,60 @@ let test_chaos_churn_grid_parallel () =
   let par = Chaos.run_churn_grid ~domains:2 cells in
   Alcotest.(check bool) "domains 1 = 2" true (seq = par)
 
+(* The issue rotation under random churn: spawns append the next
+   handle, retirements remove a random position (Poisson departures)
+   or the last one (scripted epochs).  After every operation the
+   rotation must hold exactly the accepting handles, ascending. *)
+type rot_op = Spawn | Retire of int | Retire_last
+
+let prop_rotation_model =
+  QCheck.Test.make ~count:300 ~name:"rotation holds the accepting handles in order"
+    QCheck.(
+      make
+        ~print:
+          (Print.list (function
+            | Spawn -> "spawn"
+            | Retire k -> Printf.sprintf "retire %d" k
+            | Retire_last -> "retire last"))
+        Gen.(
+          list_size (0 -- 150)
+            (frequency
+               [ (5, return Spawn); (4, map (fun k -> Retire k) nat); (1, return Retire_last) ])))
+    (fun ops ->
+      let r = Loadgen.Rotation.create () in
+      let next = ref 0 and model = ref [] in
+      let spawn () =
+        Loadgen.Rotation.push r !next;
+        model := !model @ [ !next ];
+        incr next
+      in
+      for _ = 1 to 5 do spawn () done;
+      List.for_all
+        (fun op ->
+          let n = Loadgen.Rotation.length r in
+          (match op with
+          | Spawn -> spawn ()
+          | Retire k when n > 0 ->
+            let k = k mod n in
+            Loadgen.Rotation.remove_at r k;
+            model := List.filteri (fun i _ -> i <> k) !model
+          | Retire_last when n > 0 ->
+            Loadgen.Rotation.remove_at r (n - 1);
+            model := List.filteri (fun i _ -> i <> n - 1) !model
+          | Retire _ | Retire_last -> ());
+          Loadgen.Rotation.check r ~handle:Fun.id;
+          List.init (Loadgen.Rotation.length r) (Loadgen.Rotation.get r) = !model)
+        ops)
+
+let test_rotation_check_catches_disorder () =
+  let r = Loadgen.Rotation.create () in
+  List.iter (Loadgen.Rotation.push r) [ 0; 2; 1 ];
+  Alcotest.check_raises "descending pair"
+    (Failure "Rotation.check: position 2 does not ascend") (fun () ->
+      Loadgen.Rotation.check r ~handle:Fun.id);
+  Alcotest.check_raises "out of range" (Invalid_argument "Rotation.remove_at") (fun () ->
+      Loadgen.Rotation.remove_at r 3)
+
 let suite =
   [
     ( "churn.arrival",
@@ -405,6 +459,12 @@ let suite =
           test_estimator_cold_start;
         Alcotest.test_case "warm estimator publishes" `Quick
           test_warm_estimator_publishes;
+      ] );
+    ( "churn.rotation",
+      [
+        QCheck_alcotest.to_alcotest prop_rotation_model;
+        Alcotest.test_case "check catches disorder" `Quick
+          test_rotation_check_catches_disorder;
       ] );
     ( "churn.settling",
       [

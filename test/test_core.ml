@@ -189,6 +189,63 @@ let test_toggler_smoothing () =
     check_float "ewma tput" 15.0 o.throughput
   | None -> Alcotest.fail "expected smoothed outcome"
 
+(* [decide] builds no explanation but must take the same branch and
+   make the same rng draws as [decide_explained]: two togglers on one
+   seed, fed the same observations and forcings, one deciding each way,
+   stay in lockstep and leave their rngs in the same state. *)
+type tog_op = Observe of bool * float | Force of bool option | Decide
+
+let prop_decide_matches_explained =
+  QCheck.Test.make ~count:300 ~name:"decide draws like decide_explained"
+    QCheck.(
+      make
+        Gen.(
+          list_size (0 -- 60)
+            (frequency
+               [
+                 (3, map2 (fun on l -> Observe (on, l)) bool (float_range 1.0 1000.0));
+                 (1, map (fun f -> Force f) (opt bool));
+                 (4, return Decide);
+               ])))
+    (fun ops ->
+      let make () =
+        E2e.Toggler.create ~epsilon:0.3 ~ewma_alpha:0.5 ~min_observations:2
+          ~policy:E2e.Policy.Prefer_latency
+          ~rng:(Sim.Rng.create ~seed:9)
+          ~initial:E2e.Toggler.Batch_off ()
+      in
+      let a = make () and b = make () in
+      let mode on = if on then E2e.Toggler.Batch_on else E2e.Toggler.Batch_off in
+      List.for_all
+        (fun op ->
+          match op with
+          | Observe (on, l) ->
+            E2e.Toggler.observe a ~mode:(mode on) (out l 1.0);
+            E2e.Toggler.observe b ~mode:(mode on) (out l 1.0);
+            true
+          | Force f ->
+            E2e.Toggler.force a (Option.map mode f);
+            E2e.Toggler.force b (Option.map mode f);
+            true
+          | Decide ->
+            let before = E2e.Toggler.mode b in
+            let chosen = E2e.Toggler.decide a in
+            let expl = E2e.Toggler.decide_explained b in
+            chosen = expl.chosen && expl.before = before
+            && E2e.Toggler.mode a = E2e.Toggler.mode b)
+        ops
+      &&
+      (* same rng state: the togglers' next exploration draws agree *)
+      let probe t =
+        E2e.Toggler.force t None;
+        E2e.Toggler.observe t ~mode:E2e.Toggler.Batch_on (out 1.0 1.0);
+        E2e.Toggler.observe t ~mode:E2e.Toggler.Batch_on (out 1.0 1.0);
+        E2e.Toggler.observe t ~mode:E2e.Toggler.Batch_off (out 1.0 1.0);
+        E2e.Toggler.observe t ~mode:E2e.Toggler.Batch_off (out 1.0 1.0);
+        List.init 20 (fun _ -> (E2e.Toggler.decide_explained t).why)
+      in
+      probe a = probe b)
+
 let test_toggler_bad_epsilon () =
   Alcotest.check_raises "epsilon" (Invalid_argument "Toggler.create: epsilon must be in [0,1]")
     (fun () ->
@@ -356,6 +413,7 @@ let suite =
         Alcotest.test_case "observation counts" `Quick test_toggler_observation_counts;
         Alcotest.test_case "EWMA smoothing" `Quick test_toggler_smoothing;
         Alcotest.test_case "rejects bad epsilon" `Quick test_toggler_bad_epsilon;
+        QCheck_alcotest.to_alcotest prop_decide_matches_explained;
       ] );
     ( "core.aimd",
       [

@@ -186,7 +186,7 @@ let test_estimator_peek_does_not_advance () =
 
 (* Regression (baseline pinning): shares ingested before the first
    [estimate] must NOT slide the remote baseline.  The first share
-   anchors the remote window exactly as [local_prev] anchors the local
+   anchors the remote window exactly as the local anchor pins the local
    one at creation, so both vantage points cover creation-to-now until
    the first estimate; after an [estimate] the baseline advances to the
    latest share. *)
@@ -235,6 +235,213 @@ let test_estimator_throughput () =
     Alcotest.(check (float 1.0)) "100k msg/s" 100_000.0 est.throughput
   | None -> Alcotest.fail "expected estimate"
 
+(* Bit-exact oracle for the estimator.  The reference is the
+   share-triple formulation: [Queue_state.snapshot] triples for the
+   local window, [Latency.components_of_triples], [combine] and
+   [reconcile] over them, [get_avgs] for throughput.  The estimator
+   keeps its anchor in place and computes from the queue states
+   directly; every estimate field must match the reference bit for
+   bit over random track/ingest/cold-start/estimate/peek sequences. *)
+
+type eop =
+  | Track of int * int * int  (** local queue, delta, dt (ns) *)
+  | Remote of int * int * int  (** the peer's queue, delta, dt *)
+  | Ingest of int  (** dt, then ingest the peer's snapshot *)
+  | Replay  (** re-ingest the first snapshot ever ingested *)
+  | Cold
+  | Estimate of int  (** dt (0 gives an empty window) *)
+  | Peek of int
+
+let show_eop = function
+  | Track (q, d, dt) -> Printf.sprintf "track q%d %+d +%d" q d dt
+  | Remote (q, d, dt) -> Printf.sprintf "remote q%d %+d +%d" q d dt
+  | Ingest dt -> Printf.sprintf "ingest +%d" dt
+  | Replay -> "replay"
+  | Cold -> "cold"
+  | Estimate dt -> Printf.sprintf "estimate +%d" dt
+  | Peek dt -> Printf.sprintf "peek +%d" dt
+
+let gen_eop =
+  QCheck.Gen.(
+    let q = int_bound 2 and delta = int_range (-6) 6 and dt = int_bound 40_000 in
+    frequency
+      [
+        (6, map3 (fun q d dt -> Track (q, d, dt)) q delta dt);
+        (6, map3 (fun q d dt -> Remote (q, d, dt)) q delta dt);
+        (4, map (fun dt -> Ingest dt) dt);
+        (1, return Replay);
+        (1, return Cold);
+        (2, map (fun dt -> Estimate dt) (oneof [ return 0; dt ]));
+        (4, map (fun dt -> Peek dt) dt);
+      ])
+
+type oracle = {
+  local : E2e.Queue_state.t array;
+  mutable prev : E2e.Exchange.triple;
+  mutable baseline : E2e.Exchange.triple option;
+  mutable latest : E2e.Exchange.triple option;
+  mutable cold : bool;
+}
+
+let oracle_triple qs ~at : E2e.Exchange.triple =
+  {
+    unacked = E2e.Queue_state.snapshot qs.(0) ~at;
+    unread = E2e.Queue_state.snapshot qs.(1) ~at;
+    ackdelay = E2e.Queue_state.snapshot qs.(2) ~at;
+  }
+
+(* The estimate as the share-triple code computed it; [stale] is
+   always false here (no staleness timeout is set). *)
+let oracle_compute o ~at =
+  let cur = oracle_triple o.local ~at in
+  let window = Sim.Time.diff cur.unacked.time o.prev.unacked.time in
+  if window <= 0 then None
+  else begin
+    let none : E2e.Latency.components = { unacked = None; unread = None; ackdelay = None } in
+    let local_comp = E2e.Latency.components_of_triples ~prev:o.prev ~cur in
+    let remote_comp =
+      match (o.baseline, o.latest) with
+      | Some prev, Some cur -> E2e.Latency.components_of_triples ~prev ~cur
+      | _ -> None
+    in
+    let latency_local_ns =
+      match local_comp with
+      | None -> None
+      | Some local ->
+        E2e.Latency.combine ~local ~remote:(Option.value remote_comp ~default:none)
+    in
+    let latency_remote_ns =
+      match remote_comp with
+      | None -> None
+      | Some remote ->
+        E2e.Latency.combine ~local:remote ~remote:(Option.value local_comp ~default:none)
+    in
+    let throughput =
+      match E2e.Queue_state.get_avgs ~prev:o.prev.unacked ~cur:cur.unacked with
+      | Some a -> a.throughput
+      | None -> 0.0
+    in
+    let latency_ns = E2e.Latency.reconcile latency_local_ns latency_remote_ns in
+    Some
+      ( ({ latency_ns; latency_local_ns; latency_remote_ns; throughput; window; stale = false }
+          : E2e.Estimator.estimate),
+        cur )
+  end
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let same_opt a b =
+  match (a, b) with
+  | None, None -> true
+  | Some x, Some y -> same_bits x y
+  | _ -> false
+
+let same_estimate (a : E2e.Estimator.estimate option) (b : E2e.Estimator.estimate option) =
+  match (a, b) with
+  | None, None -> true
+  | Some a, Some b ->
+    same_opt a.latency_ns b.latency_ns
+    && same_opt a.latency_local_ns b.latency_local_ns
+    && same_opt a.latency_remote_ns b.latency_remote_ns
+    && same_bits a.throughput b.throughput
+    && a.window = b.window && a.stale = b.stale
+  | _ -> false
+
+let show_estimate = function
+  | None -> "none"
+  | Some (e : E2e.Estimator.estimate) ->
+    let o = function None -> "-" | Some x -> Printf.sprintf "%h" x in
+    Printf.sprintf "{lat %s local %s remote %s tput %h window %d stale %b}"
+      (o e.latency_ns) (o e.latency_local_ns) (o e.latency_remote_ns) e.throughput
+      e.window e.stale
+
+let prop_estimator_oracle =
+  QCheck.Test.make ~count:400 ~name:"estimator matches the share-triple formula bit for bit"
+    QCheck.(make ~print:(Print.list show_eop) Gen.(list_size (0 -- 200) gen_eop))
+    (fun ops ->
+      let at = ref (us 100) in
+      let e = E2e.Estimator.create ~at:!at in
+      let fresh () = Array.init 3 (fun _ -> E2e.Queue_state.create ~at:!at) in
+      let local = fresh () and peer = fresh () in
+      let o =
+        { local; prev = oracle_triple local ~at:!at; baseline = None; latest = None;
+          cold = false }
+      in
+      let first = ref None in
+      let ingest triple =
+        E2e.Estimator.ingest_remote e ~at:!at triple;
+        match E2e.Exchange.check_plausible ?prev:o.latest ~now:!at triple with
+        | Error _ -> ()
+        | Ok () ->
+          if o.baseline = None then o.baseline <- Some triple;
+          o.latest <- Some triple
+      in
+      let track qs q delta =
+        let delta = max delta (-E2e.Queue_state.size qs.(q)) in
+        E2e.Queue_state.track qs.(q) ~at:!at delta;
+        delta
+      in
+      let check what got want =
+        if not (same_estimate got want) then
+          QCheck.Test.fail_reportf "%s at %d: estimator %s, reference %s" what !at
+            (show_estimate got) (show_estimate want)
+      in
+      List.iter
+        (fun op ->
+          match op with
+          | Track (q, delta, dt) ->
+            at := !at + dt;
+            let delta = track local q delta in
+            (match q with
+            | 0 -> E2e.Estimator.track_unacked e ~at:!at delta
+            | 1 -> E2e.Estimator.track_unread e ~at:!at delta
+            | _ -> E2e.Estimator.track_ackdelay e ~at:!at delta)
+          | Remote (q, delta, dt) ->
+            at := !at + dt;
+            ignore (track peer q delta : int)
+          | Ingest dt ->
+            at := !at + dt;
+            let t = oracle_triple peer ~at:!at in
+            if !first = None then first := Some t;
+            ingest t
+          | Replay -> Option.iter ingest !first
+          | Cold ->
+            E2e.Estimator.set_cold_start e;
+            o.cold <- true
+          | Estimate dt ->
+            at := !at + dt;
+            let want =
+              match oracle_compute o ~at:!at with
+              | None -> None
+              | Some (est, cur) ->
+                o.prev <- cur;
+                (match o.latest with Some l -> o.baseline <- Some l | None -> ());
+                if o.cold then begin
+                  o.cold <- false;
+                  None
+                end
+                else Some est
+            in
+            check "estimate" (E2e.Estimator.estimate e ~at:!at) want
+          | Peek dt ->
+            at := !at + dt;
+            let want =
+              if o.cold then None else Option.map fst (oracle_compute o ~at:!at)
+            in
+            check "peek" (E2e.Estimator.peek_estimate e ~at:!at) want)
+        ops;
+      true)
+
+let test_estimator_time_backwards () =
+  let e = E2e.Estimator.create ~at:(us 0) in
+  E2e.Estimator.track_unacked e ~at:(us 10) 1;
+  Alcotest.check_raises "estimate before the last update"
+    (Invalid_argument "Queue_state.snapshot: time went backwards") (fun () ->
+      ignore (E2e.Estimator.estimate e ~at:(us 5)));
+  Alcotest.check_raises "peek before the last update"
+    (Invalid_argument "Queue_state.snapshot: time went backwards") (fun () ->
+      ignore (E2e.Estimator.peek_estimate e ~at:(us 5)))
+
 let suite =
   [
     ( "core.exchange",
@@ -269,5 +476,8 @@ let suite =
           test_estimator_remote_baseline_pinned;
         Alcotest.test_case "queue sizes" `Quick test_estimator_queue_sizes;
         Alcotest.test_case "throughput" `Quick test_estimator_throughput;
+        Alcotest.test_case "time going backwards is refused" `Quick
+          test_estimator_time_backwards;
+        QCheck_alcotest.to_alcotest prop_estimator_oracle;
       ] );
   ]

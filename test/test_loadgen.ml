@@ -256,6 +256,76 @@ let test_sweep_estimated_cutoff () =
   | Some c -> Alcotest.(check (float 1.0)) "estimated cutoff" 70e3 c
   | None -> Alcotest.fail "no estimated cutoff"
 
+(* Control's column-wise sample log against the record list it
+   replaced: samples round-trip (a [None] latency and both modes
+   included) through the sizing at the first append and the growth
+   past it, and [summary] equals the fold the list-based
+   [sample_summary] made. *)
+let prop_samples_roundtrip =
+  QCheck.Test.make ~count:300 ~name:"sample log round-trips and summarises like a list"
+    QCheck.(
+      make
+        Gen.(
+          pair (int_range 0 40)
+            (list_size (0 -- 80)
+               (triple (opt (float_range 0.0 5e6)) (float_range 0.0 1e6) bool))))
+    (fun (horizon_ticks, ticks) ->
+      let every = Sim.Time.ms 1 in
+      let start = Sim.Time.ms 3 in
+      let log =
+        Loadgen.Control.Samples.create ~until:(start + (horizon_ticks * every)) ~every
+      in
+      let expected =
+        List.mapi
+          (fun i (latency_ns, throughput, on) ->
+            let at = start + (i * every) in
+            let mode = if on then E2e.Toggler.Batch_on else E2e.Toggler.Batch_off in
+            Loadgen.Control.Samples.append log ~at ~latency_ns ~throughput ~mode;
+            {
+              Loadgen.Control.at_us = Sim.Time.to_us at;
+              latency_us = Option.map (fun ns -> ns /. 1e3) latency_ns;
+              throughput_rps = throughput;
+              mode;
+            })
+          ticks
+      in
+      let same (a : Loadgen.Control.estimate_sample) (b : Loadgen.Control.estimate_sample) =
+        let bits x = Int64.bits_of_float x in
+        bits a.at_us = bits b.at_us
+        && Option.map bits a.latency_us = Option.map bits b.latency_us
+        && bits a.throughput_rps = bits b.throughput_rps
+        && a.mode = b.mode
+      in
+      let got = Loadgen.Control.Samples.to_list log in
+      (* the list-based summary, as sample_summary computed it *)
+      let list_summary ~warmup_until =
+        let measured =
+          List.filter
+            (fun (s : Loadgen.Control.estimate_sample) ->
+              s.at_us > Sim.Time.to_us warmup_until)
+            expected
+        in
+        let weighted, count, tput_sum =
+          List.fold_left
+            (fun (acc, n, tp) (s : Loadgen.Control.estimate_sample) ->
+              match s.latency_us with
+              | Some us -> (acc +. us, n + 1, tp +. s.throughput_rps)
+              | None -> (acc, n, tp))
+            (0.0, 0, 0.0) measured
+        in
+        if count = 0 then (None, 0.0)
+        else (Some (weighted /. float_of_int count), tput_sum /. float_of_int count)
+      in
+      List.length got = List.length expected
+      && List.for_all2 same got expected
+      && List.for_all
+           (fun warmup_until ->
+             let (la, ta) = Loadgen.Control.Samples.summary log ~warmup_until
+             and (lb, tb) = list_summary ~warmup_until in
+             Option.map Int64.bits_of_float la = Option.map Int64.bits_of_float lb
+             && Int64.bits_of_float ta = Int64.bits_of_float tb)
+           [ 0; start; start + (5 * every) ])
+
 let suite =
   [
     ( "loadgen.arrival",
@@ -279,6 +349,7 @@ let suite =
         Alcotest.test_case "SLO fraction" `Quick test_recorder_slo_fraction;
         Alcotest.test_case "percentiles ordered" `Quick test_recorder_percentiles_ordered;
       ] );
+    ( "loadgen.control", [ QCheck_alcotest.to_alcotest prop_samples_roundtrip ] );
     ( "loadgen.sweep",
       [
         Alcotest.test_case "cutoff detection" `Quick test_sweep_cutoff_detection;
